@@ -7,7 +7,20 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
-os.environ.setdefault("SPARK_DRIVER_MEM", "24g")
+
+def _driver_mem() -> str:
+    """Half of MemTotal in whole GiB, clamped to 2–8 GiB."""
+    try:
+        with open("/proc/meminfo") as f:
+            for line in f:
+                if line.startswith("MemTotal:"):
+                    return f"{min(8, max(2, int(line.split()[1]) // 2097152))}g"
+    except (OSError, ValueError):
+        pass
+    return "2g"
+
+
+os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
     f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "

@@ -55,6 +55,7 @@ from .comprehension import (
     free_vars,
     pat_vars,
     show,
+    state_refs,
 )
 from .translate import TAssign, TInit, TWhile
 
@@ -87,7 +88,10 @@ def empty_array(spark: SparkSession, t: A.TArray) -> DataFrame:
         for i in range(t.ndims)
     ]
     fields.append(T.StructField("_v", spark_type(t.elem)))
-    return spark.createDataFrame([], T.StructType(fields))
+    # limit(0) makes the emptiness visible to Catalyst (an empty
+    # LocalRelation), so PropagateEmptyRelation removes the outer-lookup
+    # and merge joins against a freshly initialised target
+    return spark.createDataFrame([], T.StructType(fields)).limit(0)
 
 
 # ----------------------------------------------------- column compiler
@@ -656,9 +660,15 @@ def eval_scalar(term, env, spark):
         if res[0] == "scalar-empty":
             return False, None
         _, df, head, agg_map = res
+        # not limit(2): it scans partitions incrementally and launches
+        # a second job whenever the first partition holds no row
         out = df.select(to_col(head, env, agg_map).alias("_v")).collect()
         if not out:
             return False, None
+        if len(out) > 1:
+            raise BackendError(
+                f"scalar assignment from a bag with more than one element: {show(term)}"
+            )
         v = out[0]["_v"]
         if hasattr(v, "asDict"):  # Row (struct value) → tuple
             v = tuple(v)
@@ -681,13 +691,16 @@ def run_code(code, env: dict, spark: SparkSession, types: dict) -> dict:
                 if present:
                     env[st.name] = v
         elif isinstance(st, TWhile):
+            carried = _carried_arrays(st.body, types)
             while True:
                 present, c = eval_scalar(st.cond, env, spark)
                 if not present or not c:
                     break
                 run_code(st.body, env, spark, types)
-                # truncate lineage of arrays updated inside the loop
-                for s in _assigned_arrays(st.body, types):
+                # truncate the lineage of the arrays that carry state to
+                # the next iteration; upstream ones first, so no
+                # checkpoint recomputes another's plan
+                for s in carried:
                     if isinstance(env.get(s), DataFrame):
                         env[s] = env[s].localCheckpoint(eager=True)
         else:
@@ -695,13 +708,30 @@ def run_code(code, env: dict, spark: SparkSession, types: dict) -> dict:
     return env
 
 
-def _assigned_arrays(code, types) -> set:
-    out = set()
-    for st in code:
-        if isinstance(st, (TAssign, TInit)) and isinstance(
-            types.get(st.name), A.TArray
-        ):
-            out.add(st.name)
-        elif isinstance(st, TWhile):
-            out |= _assigned_arrays(st.body, types)
-    return out
+def _carried_arrays(body, types) -> list:
+    """Arrays a loop body assigns that hold state across iterations, in
+    order of first mention. An array whose first mention in the body is
+    its re-initialisation (``TInit``) starts afresh in every iteration,
+    and its lineage starts at the carried arrays: it needs no
+    checkpoint."""
+    first: dict = {}  # name -> True if a TInit mentions it first
+    assigned = set()
+
+    def walk(code):
+        for st in code:
+            if isinstance(st, TWhile):
+                for n in state_refs(st.cond):
+                    first.setdefault(n, False)
+                walk(st.body)
+                continue
+            if isinstance(st, TAssign):
+                for n in state_refs(st.term):
+                    first.setdefault(n, False)
+            first.setdefault(st.name, isinstance(st, TInit))
+            assigned.add(st.name)
+
+    walk(body)
+    return [
+        n for n, init in first.items()
+        if not init and n in assigned and isinstance(types.get(n), A.TArray)
+    ]

@@ -15,6 +15,7 @@ operation ``⊲``.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -237,6 +238,29 @@ def free_vars(t: Term) -> set:
         free |= free_vars(t.head) - bound
         return free
     raise TypeError(f"free_vars: unknown term {t!r}")
+
+
+def state_refs(t) -> list:
+    """Names of the program state a term reads, in order of appearance
+    (repeats included)."""
+    out: list = []
+
+    def walk(x):
+        if isinstance(x, StateRef):
+            out.append(x.name)
+        elif isinstance(x, OuterLookup):
+            out.append(x.array)
+            walk(x.key)
+            walk(x.default)
+        elif isinstance(x, tuple):
+            for y in x:
+                walk(y)
+        elif dataclasses.is_dataclass(x):
+            for f in dataclasses.fields(x):
+                walk(getattr(x, f.name))
+
+    walk(t)
+    return out
 
 
 def subst(t: Term, env: dict) -> Term:

@@ -5,6 +5,13 @@
   becomes a predicate ``inRange(F(I), lo, hi)`` where ``F`` is the
   right inverse of the (affine) index term: handled forms are ``I = i``,
   ``I = i + c``, ``I = i - c`` (and mirrored operand orders).
+* **Same-key self-join elimination** (runs after range elimination,
+  which turns index equalities into direct ``j == i`` conditions): two
+  traversals of the same array whose index variables are equated on
+  every dimension before any group-by bind the same row, since array
+  keys are unique; the second traversal is dropped and its variables
+  are replaced by the first's. Partial-key self-joins (PCA's
+  ``M[i,k]``×``M[i,j]``) are kept.
 * **Rule 16**: a group-by whose key binds no generator variables (the
   unit key of scalar accumulations, or all-constant keys) is removed;
   the aggregation becomes a total aggregation over all rows.
@@ -14,6 +21,8 @@
   replaced by ``e`` itself (every group is a singleton).
 """
 from __future__ import annotations
+
+import itertools
 
 from .comprehension import (
     Agg,
@@ -41,15 +50,6 @@ from .comprehension import (
     subst,
 )
 from .normalize import norm_term
-
-
-def _array_index_vars(q: Generator):
-    """Index variable names of a flat array-generator pattern
-    ``(i1, …, in, v)`` (None if not an array traversal)."""
-    if isinstance(q.source, StateRef) and isinstance(q.pat, PTuple):
-        names = pat_vars(q.pat)
-        return names[:-1]
-    return None
 
 
 def _solve_for(var: str, eq: BinOp):
@@ -121,6 +121,62 @@ def _eliminate_ranges(c: Comp) -> Comp:
     return Comp(head, tuple(quals))
 
 
+def _flat_array_pattern(q):
+    """Variable names ``[i1, …, in, v]`` of an array traversal whose
+    pattern is a flat tuple of variables (None otherwise)."""
+    if (isinstance(q, Generator) and isinstance(q.source, StateRef)
+            and isinstance(q.pat, PTuple) and len(q.pat.items) > 1
+            and all(isinstance(p, PVar) for p in q.pat.items)):
+        return [p.name for p in q.pat.items]
+    return None
+
+
+def _is_var_eq(e, a: str, b: str) -> bool:
+    return (isinstance(e, BinOp) and e.op == "=="
+            and isinstance(e.left, Var) and isinstance(e.right, Var)
+            and {e.left.name, e.right.name} == {a, b})
+
+
+def _same_key_traversal(quals):
+    """Find a traversal ``(j1..jn, w) <- X`` that an earlier
+    ``(i1..in, v) <- X`` equates on every key dimension before any
+    group-by. Returns (its position, the equalities ``jd == id``, the
+    renaming j→i, w→v, the number of pre-group-by qualifiers) or None."""
+    pre = list(itertools.takewhile(lambda q: not isinstance(q, GroupByQ), quals))
+    gens = [(qi, names) for qi, q in enumerate(pre)
+            if (names := _flat_array_pattern(q)) is not None]
+    for a, (ki, keep) in enumerate(gens):
+        for di, drop in gens[a + 1:]:
+            if pre[di].source != pre[ki].source or len(drop) != len(keep):
+                continue
+            eqs = [next((r for r in pre if isinstance(r, Cond)
+                         and _is_var_eq(r.expr, k, d)), None)
+                   for k, d in zip(keep[:-1], drop[:-1])]
+            if None not in eqs:
+                return di, eqs, {d: Var(k) for k, d in zip(keep, drop)}, len(pre)
+    return None
+
+
+def _eliminate_self_joins(c: Comp) -> Comp:
+    """Same-key self-join elimination: array keys are unique, so the
+    later traversal binds exactly the earlier one's row; drop it and its
+    key equalities, and rename its variables to the earlier one's."""
+    quals, head = list(c.quals), c.head
+    while (found := _same_key_traversal(quals)) is not None:
+        drop, eqs, env, npre = found
+        rest = []
+        for qi, q in enumerate(quals):
+            if qi == drop or any(q is e for e in eqs):
+                continue
+            q = _subst_qual(q, env)
+            # both traversals' filters now test the same variables:
+            # keep one copy of each
+            if not (qi < npre and q in rest):
+                rest.append(q)
+        quals, head = rest, subst(head, env)
+    return Comp(head, tuple(quals))
+
+
 def _subst_qual(q, env):
     if isinstance(q, Generator):
         return Generator(q.pat, subst(q.source, env))
@@ -184,7 +240,8 @@ def _groupby_rules(c: Comp) -> Comp:
             if isinstance(g.source, RangeT) and isinstance(g.pat, PVar):
                 idx = [g.pat.name]
             else:
-                idx = _array_index_vars(g)
+                names = _flat_array_pattern(g)
+                idx = names[:-1] if names else None
             key_vars = (
                 [x.name for x in q.key.items if isinstance(x, Var)]
                 if isinstance(q.key, TupleT)
@@ -287,6 +344,7 @@ def optimize_term(t):
             tuple(_opt_qual(q) for q in t.quals),
         )
         t = _eliminate_ranges(t)
+        t = _eliminate_self_joins(t)
         t = _groupby_rules(t)
         t = _expand_tuple_monoids(t)
         return norm_term(t)

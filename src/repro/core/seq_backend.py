@@ -390,10 +390,6 @@ def eval_comp(comp: Comp, env: dict):
     return ("rows", rows, head)
 
 
-def _eval_scalar_head(head, env):
-    return _compile_term(_sub_aggs(head, {"*": None}), env)({})
-
-
 def _collect_aggs(t, out):
     if isinstance(t, Agg):
         out.append(t)
@@ -482,6 +478,26 @@ def _bag_to_dict(term, env, ndims: int):
     return out
 
 
+def _eval_scalar(term, env):
+    """Evaluate a bag term expected to hold ≤1 scalar element. Returns
+    (present, value); an empty bag leaves the destination unchanged."""
+    if not isinstance(term, Comp):
+        return True, _compile_term(term, env)({})
+    res = eval_comp(term, env)
+    if res[0] == "scalar":
+        return True, res[1]
+    if res[0] == "empty":
+        return False, None
+    _, rows, head = res
+    if not rows:
+        return False, None
+    if len(rows) > 1:
+        raise SeqError(
+            f"scalar assignment from a bag with more than one element: {show(term)}"
+        )
+    return True, _compile_term(head, env)(rows[0])
+
+
 def run_code_seq(code, env: dict, types: dict) -> dict:
     """Execute target code over dict arrays / Python scalars."""
     for st in code:
@@ -492,19 +508,13 @@ def run_code_seq(code, env: dict, types: dict) -> dict:
             if isinstance(t, A.TArray):
                 env[st.name] = _bag_to_dict(st.term, env, t.ndims)
             else:
-                res = eval_comp(st.term, env) if isinstance(st.term, Comp) else (
-                    "scalar", _compile_term(st.term, env)({})
-                )
-                if res[0] == "scalar":
-                    env[st.name] = res[1]
-                elif res[0] == "rows":
-                    _, rows, head = res
-                    if rows:
-                        env[st.name] = _compile_term(head, env)(rows[0])
+                present, v = _eval_scalar(st.term, env)
+                if present:
+                    env[st.name] = v
         elif isinstance(st, TWhile):
             while True:
-                res = eval_comp(st.cond, env)
-                if res[0] != "scalar" or not res[1]:
+                present, c = _eval_scalar(st.cond, env)
+                if not present or not c:
                     break
                 run_code_seq(st.body, env, types)
         else:

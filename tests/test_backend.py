@@ -237,3 +237,49 @@ def test_constant_index_increment_missing_key(spark):
 def test_scalar_pure_increment(spark):
     _, env = run(spark, "var k: long = 5; k += 2;", {}, {})
     assert env["k"] == 7
+
+
+@pytest.mark.parametrize(
+    "t",
+    [VEC_S, MAT_D, A.TArray(1, A.TTuple((A.TBasic("double"), A.TBasic("long"))))],
+    ids=["string-keyed", "matrix", "tuple-valued"],
+)
+def test_empty_array_is_an_empty_local_relation(spark, t):
+    # Catalyst must see the emptiness to prune joins against the array
+    plan = empty_array(spark, t)._jdf.queryExecution().optimizedPlan()
+    assert plan.getClass().getSimpleName() == "LocalRelation"
+    assert plan.data().isEmpty()
+
+
+def test_while_condition_reads_array(spark):
+    src = "var k: long = 0; while (V[0] > k) k += 1;"
+    _, env = run(spark, src, {"V": {0: 3, 1: 5}}, {"V": VEC_L})
+    assert env["k"] == 3
+
+
+def test_scalar_assignment_from_many_rows_fails(spark):
+    # the checker never emits this; the engine must still refuse it
+    # rather than keep an arbitrary row
+    from repro.core.backend import BackendError, run_code
+    from repro.core.comprehension import Comp, Generator, PTuple, PVar, StateRef, Var
+    from repro.core.translate import TAssign
+
+    code = [TAssign("s", Comp(Var("v"), (
+        Generator(PTuple((PVar("i"), PVar("v"))), StateRef("V")),
+    )))]
+    env = {"V": dict_to_df(spark, {0: 1, 1: 2}, VEC_L), "s": 0}
+    with pytest.raises(BackendError, match="more than one"):
+        run_code(code, env, spark, {"V": VEC_L, "s": A.TBasic("long")})
+
+
+@pytest.mark.parametrize("name,carried", [("KMeans", ["C"]), ("PageRank", ["P"])])
+def test_only_loop_carried_arrays_are_checkpointed(name, carried):
+    # closest/avg and Q are re-initialised at the top of every iteration
+    from repro.core.backend import _carried_arrays
+    from repro.core.translate import TWhile
+    from repro.programs.suite import BY_NAME, build_envs
+
+    _, _, types = build_envs(BY_NAME[name], "tiny")
+    comp = compile_program(BY_NAME[name].source, types)
+    loop = next(st for st in comp.code if isinstance(st, TWhile))
+    assert _carried_arrays(loop.body, comp.types) == carried

@@ -172,3 +172,56 @@ def test_argmin_not_expanded():
     comp = _comp(code[0].term)
     val = comp.head.items[-1]
     assert isinstance(val, BinOp) and val.op == "argmin"
+
+
+def _scans(comp, name):
+    return [
+        q for q in comp.quals
+        if isinstance(q, Generator) and q.source == StateRef(name)
+    ]
+
+
+def _stmt(code, name):
+    from repro.core.translate import TAssign, TWhile
+
+    for st in code:
+        if isinstance(st, TWhile):
+            found = _stmt(st.body, name)
+            if found is not None:
+                return found
+        elif isinstance(st, TAssign) and st.name == name:
+            return _comp(st.term)
+    return None
+
+
+def test_kmeans_same_key_self_joins_eliminated():
+    from repro.programs.suite import KMEANS_SRC
+
+    code, _ = compile_to(KMEANS_SRC)
+    # avg[closest[i]._1] += (P[i]._1, P[i]._2, 1) reads P[i] once
+    assert len(_scans(_stmt(code, "avg"), "P")) == 1
+    # C[j] := (avg[j]._1 / avg[j]._3, …) reads avg[j] once
+    c = _stmt(code, "C")
+    assert [q for q in c.quals if isinstance(q, Generator)] == _scans(c, "avg")
+    assert len(_scans(c, "avg")) == 1
+
+
+def test_pca_partial_key_self_join_kept():
+    from repro.programs.suite import PCA_SRC
+
+    code, _ = compile_to(PCA_SRC)
+    # M[i, j] × M[i, k] agree on i only: a real join
+    assert len(_scans(_stmt(code, "cov"), "M")) == 2
+
+
+def test_equal_keys_of_different_arrays_kept():
+    code, _ = compile_to("for i = 0, 9 do R[i] := A[i] * B[i];")
+    comp = _comp(code[0].term)
+    assert len(_scans(comp, "A")) == len(_scans(comp, "B")) == 1
+
+
+def test_same_key_self_join_enables_rule17():
+    code, _ = compile_to("for i = 0, 9 do V[i] += W[i] * W[i];")
+    comp = _comp(code[0].term)
+    assert len(_scans(comp, "W")) == 1
+    assert not any(isinstance(q, GroupByQ) for q in comp.quals)

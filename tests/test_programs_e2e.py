@@ -4,7 +4,7 @@ with the literal loop interpreter (the paper's Theorem A.1)."""
 import pytest
 
 from repro.core import ast as A
-from repro.core.convert import approx_dict_equal, df_to_dict
+from repro.core.convert import approx_dict_equal, df_to_dict, dict_to_df
 from repro.core.interp import interpret
 from repro.core.pipeline import compile_program, run_program
 from repro.core.seq_backend import run_program_seq
@@ -139,3 +139,49 @@ def test_histogram_counts_sum_to_n(results):
 def test_word_count_totals(results):
     C = df_to_dict(results["Word Count"]["spark"]["C"], 1)
     assert sum(C.values()) == 80
+
+
+# -------- loops over several iterations: lineage across checkpoints --------
+@pytest.mark.parametrize("name", ["KMeans", "PageRank"])
+def test_four_iterations_all_engines_agree(spark, name):
+    from repro.programs.suite import BY_NAME
+
+    prog = BY_NAME[name]
+    spark_env, dict_env, types = build_envs(prog, "tiny", spark)
+    spark_env["num_steps"] = dict_env["num_steps"] = 4
+    compiled = compile_program(prog.source, types)
+    res = {
+        "interp": interpret(prog.source, dict_env),
+        "seq": run_program_seq(compiled, dict_env),
+        "spark": run_program(compiled, spark_env, spark),
+    }
+    for out in prog.outputs:
+        _check(res, compiled, out)
+
+
+def test_per_iteration_array_is_an_output(spark):
+    # D is re-initialised in every iteration (no checkpoint); V carries
+    # state across iterations; both are read after the loop
+    src = """
+    var k: long = 0;
+    var D: vector[double] = vector();
+    while (k < 3) {
+      k += 1;
+      var D: vector[double] = vector();
+      for i = 0, 4 do D[i] := V[i] * 2.0;
+      for i = 0, 4 do V[i] += D[i];
+    };
+    """
+    vec = A.TArray(1, A.TBasic("double"))
+    data = {"V": {i: float(i) for i in range(5)}}
+    compiled = compile_program(src, {"V": vec})
+    res = {
+        "interp": interpret(src, data),
+        "seq": run_program_seq(compiled, data),
+        "spark": run_program(
+            compiled, {"V": dict_to_df(spark, data["V"], vec)}, spark
+        ),
+    }
+    for out in ("D", "V", "k"):
+        _check(res, compiled, out)
+    assert res["interp"]["V"] == {i: 27.0 * i for i in range(5)}

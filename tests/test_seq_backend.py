@@ -121,3 +121,22 @@ def test_constant_index_increment_missing_seq():
     src = "M[0, 0] += 4.0;"
     seq, ref = run_both(src, {"M": {}}, {"M": MAT_D})
     assert seq["M"] == ref["M"] == {(0, 0): 4.0}
+
+
+def test_while_condition_reads_array():
+    # the condition is a one-row bag, not a generator-free scalar
+    src = "var k: long = 0; while (V[0] > k) k += 1;"
+    seq, ref = run_both(src, {"V": {0: 3, 1: 5}}, {"V": VEC_L})
+    assert seq["k"] == ref["k"] == 3
+
+
+def test_scalar_assignment_from_many_rows_fails():
+    from repro.core.comprehension import Comp, Generator, PTuple, PVar, StateRef, Var
+    from repro.core.seq_backend import SeqError, run_code_seq
+    from repro.core.translate import TAssign
+
+    code = [TAssign("s", Comp(Var("v"), (
+        Generator(PTuple((PVar("i"), PVar("v"))), StateRef("V")),
+    )))]
+    with pytest.raises(SeqError, match="more than one"):
+        run_code_seq(code, {"V": {0: 1, 1: 2}, "s": 0}, {"V": VEC_L, "s": A.TBasic("long")})
