@@ -1,4 +1,5 @@
-"""Spark DataFrame backend: executes target code over comprehensions.
+"""Spark backend: executes target code over comprehensions, one Spark SQL
+query per statement.
 
 State representation:
 
@@ -8,14 +9,20 @@ State representation:
   structs;
 * a scalar variable is a driver-side Python value.
 
-A comprehension is compiled qualifier-by-qualifier into a DataFrame
-plan: array generators become scans, ``range`` generators become
-``spark.range``, equality conditions between two generators' variables
-become equi-join predicates, ``group by`` becomes ``groupBy().agg()``
+Each target statement is lowered to the text of one Spark SQL query and
+run with a single ``spark.sql`` call, so Catalyst analyses the whole
+statement once instead of once per DataFrame call. The comprehension
+is lowered qualifier-by-qualifier into nested ``SELECT … FROM (…)``:
+array generators become scans of the arrays (registered as temporary
+views while the query is analysed), ``range`` generators become the
+``range`` table function, equality conditions between two generators'
+variables become equi-join predicates, ``group by`` becomes ``GROUP BY``
 with one aggregate per ``⊕/e`` reduction, the outer lookup of rule
-(15a) becomes a left join + ``coalesce`` with the monoid identity, and
-the array merge ``⊲`` becomes a full outer join with ``coalesce``
-(paper: "on Spark, ⊲ can be implemented as a coGroup").
+(15a) becomes a ``LEFT JOIN`` + ``coalesce`` with the monoid identity,
+and the array merge ``⊲`` becomes a ``FULL OUTER JOIN`` with
+``coalesce`` (paper: "on Spark, ⊲ can be implemented as a coGroup").
+Scalar state enters the query as literals typed as ``F.lit`` would
+type them.
 
 Conditions are applied as soon as all their variables are in scope
 (filter pushup is semantics-preserving for pure predicates), which also
@@ -24,10 +31,11 @@ lets the Section 3.6 ``inRange`` predicates land on the array scans.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Optional
 
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.errors import AnalysisException
+from pyspark.sql import DataFrame, Row, SparkSession
 from pyspark.sql import types as T
 
 from . import ast as A
@@ -45,8 +53,6 @@ from .comprehension import (
     Merge,
     OuterLookup,
     Proj,
-    PTuple,
-    PVar,
     RangeT,
     StateRef,
     TupleT,
@@ -55,9 +61,10 @@ from .comprehension import (
     free_vars,
     pat_vars,
     show,
+    show_q,
     state_refs,
 )
-from .translate import TAssign, TInit, TWhile
+from .translate import _IDENTITY, TAssign, TInit, TWhile
 
 
 class BackendError(Exception):
@@ -82,138 +89,160 @@ def spark_type(t) -> T.DataType:
     raise BackendError(f"no spark type for {t!r}")
 
 
+def _sql_type(dt: T.DataType) -> str:
+    if isinstance(dt, T.StructType):
+        fields = ", ".join(f"{_id(f.name)}: {_sql_type(f.dataType)}" for f in dt.fields)
+        return f"STRUCT<{fields}>"
+    return dt.simpleString().upper()
+
+
 def empty_array(spark: SparkSession, t: A.TArray) -> DataFrame:
-    fields = [
-        T.StructField(f"_k{i + 1}", spark_type(t.key if i == 0 and t.ndims == 1 else A.TBasic("long")))
+    types = [
+        spark_type(t.key if i == 0 and t.ndims == 1 else A.TBasic("long"))
         for i in range(t.ndims)
-    ]
-    fields.append(T.StructField("_v", spark_type(t.elem)))
-    # limit(0) makes the emptiness visible to Catalyst (an empty
+    ] + [spark_type(t.elem)]
+    items = ", ".join(
+        f"CAST(NULL AS {_sql_type(dt)}) AS {_id(c)}"
+        for c, dt in zip(_key_cols(t.ndims), types)
+    )
+    # LIMIT 0 makes the emptiness visible to Catalyst (an empty
     # LocalRelation), so PropagateEmptyRelation removes the outer-lookup
     # and merge joins against a freshly initialised target
-    return spark.createDataFrame([], T.StructType(fields)).limit(0)
+    return _Query(spark).run(f"SELECT {items} LIMIT 0", "an empty array")
 
 
-# ----------------------------------------------------- column compiler
-def _dist2_col(p, c):
-    """Squared Euclidean distance of two 2-D point structs."""
-    dx = p.getField("_1") - c.getField("_1")
-    dy = p.getField("_2") - c.getField("_2")
-    return dx * dx + dy * dy
+# -------------------------------------------------------- SQL lowering
+def _id(name: str) -> str:
+    return "`" + name.replace("`", "``") + "`"
 
 
-_CALLS = {
-    "sqrt": F.sqrt,
-    "abs": F.abs,
-    "exp": F.exp,
-    "log": F.log,
-    "floor": F.floor,
-    "ceil": F.ceil,
-    "dist2": _dist2_col,
-    "coalesce": F.coalesce,
+def _struct(fields) -> str:
+    return "named_struct(" + ", ".join(f"{_lit(n)}, {v}" for n, v in fields) + ")"
+
+
+def _lit(v) -> str:
+    """SQL literal of a Python value, typed as ``F.lit`` types it: ints
+    are INT inside the int32 range and BIGINT outside it, floats DOUBLE;
+    tuples become structs with fields ``_1.._n`` and dicts (records)
+    structs with their own field names."""
+    if v is None:
+        return "NULL"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, numbers.Integral):
+        v = int(v)
+        s = str(v) if -(2**31) <= v < 2**31 else f"{v}L"
+        return f"({s})" if v < 0 else s
+    if isinstance(v, numbers.Real):
+        v = float(v)
+        if math.isnan(v):
+            return "CAST('NaN' AS DOUBLE)"
+        if math.isinf(v):
+            return "CAST('Infinity' AS DOUBLE)" if v > 0 else "CAST('-Infinity' AS DOUBLE)"
+        # a bare 1.0 would be a DECIMAL
+        return f"({v!r}D)" if math.copysign(1.0, v) < 0 else f"{v!r}D"
+    if isinstance(v, str):
+        # $ keeps "${…}" away from Spark's variable substitution
+        esc = v.replace("\\", "\\\\").replace("'", "\\'").replace("$", "\\u0024")
+        return f"'{esc}'"
+    if isinstance(v, tuple):
+        return _struct((f"_{i + 1}", _lit(x)) for i, x in enumerate(v))
+    if isinstance(v, dict):
+        return _struct((n, _lit(x)) for n, x in v.items())
+    raise BackendError(f"no SQL literal for {v!r}")
+
+
+def py_value(v):
+    """A value collected from Spark as the engines' Python value: structs
+    become tuples (fields ``_1.._n``) or dicts (named record fields)."""
+    if isinstance(v, Row):
+        d = v.asDict()
+        if all(k.startswith("_") and k[1:].isdigit() for k in d):
+            return tuple(py_value(d[f"_{i + 1}"]) for i in range(len(d)))
+        return {k: py_value(x) for k, x in d.items()}
+    return v
+
+
+_SQL_BIN = {
+    "==": "=", "&&": "AND", "||": "OR",
+    **{op: op for op in ("+", "-", "*", "/", "%", "!=", "<", "<=", ">", ">=")},
 }
+# ln, not log: SQL's one-argument log is Logarithm(e, x), F.log's is Log(x)
+_SQL_FN = {"log": "ln", **{f: f for f in ("sqrt", "abs", "exp", "floor", "ceil", "coalesce")}}
 
 
-def _binop_col(op: str, a, b):
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    if op == "%":
-        return a % b
-    if op == "==":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    if op == "&&":
-        return a & b
-    if op == "||":
-        return a | b
-    if op == "min":
-        return F.least(a, b)
-    if op == "max":
-        return F.greatest(a, b)
-    if op == "argmin":
-        return (
-            F.when(a.isNull(), b)
-            .when(b.isNull(), a)
-            .when(a.getField("_2") <= b.getField("_2"), a)
-            .otherwise(b)
-        )
-    raise BackendError(f"unknown binary operator {op!r}")
-
-
-def to_col(t, env: dict, agg_map: Optional[dict] = None):
-    """Compile a comprehension term to a Spark Column."""
+def to_sql(t, env: dict, agg_map: Optional[dict] = None) -> str:
+    """Lower a comprehension term to a Spark SQL expression."""
     if isinstance(t, Var):
-        return F.col(t.name)
+        return _id(t.name)
     if isinstance(t, Const):
-        return F.lit(t.value)
+        return _lit(t.value)
     if isinstance(t, StateRef):
         v = env[t.name]
         if isinstance(v, DataFrame):
             raise BackendError(f"array {t.name} used in scalar position")
-        if isinstance(v, tuple):
-            return F.struct(
-                *[F.lit(x).alias(f"_{i + 1}") for i, x in enumerate(v)]
-            )
-        return F.lit(v)
+        return _lit(v)
     if agg_map is not None and isinstance(t, Agg):
         key = id(t)
         if key not in agg_map:
             raise BackendError(f"unplanned aggregation {show(t)}")
-        return F.col(agg_map[key])
+        return _id(agg_map[key])
     if isinstance(t, BinOp):
-        return _binop_col(t.op, to_col(t.left, env, agg_map), to_col(t.right, env, agg_map))
+        a, b = to_sql(t.left, env, agg_map), to_sql(t.right, env, agg_map)
+        if t.op in _SQL_BIN:
+            return f"({a} {_SQL_BIN[t.op]} {b})"
+        if t.op == "min":
+            return f"least({a}, {b})"
+        if t.op == "max":
+            return f"greatest({a}, {b})"
+        if t.op == "argmin":
+            return (
+                f"CASE WHEN {a} IS NULL THEN {b} WHEN {b} IS NULL THEN {a} "
+                f"WHEN {a}.`_2` <= {b}.`_2` THEN {a} ELSE {b} END"
+            )
+        raise BackendError(f"unknown binary operator {t.op!r}")
     if isinstance(t, UnOp):
-        c = to_col(t.expr, env, agg_map)
-        return -c if t.op == "-" else ~c
+        c = to_sql(t.expr, env, agg_map)
+        return f"(- {c})" if t.op == "-" else f"(NOT {c})"
     if isinstance(t, TupleT):
-        return F.struct(
-            *[to_col(x, env, agg_map).alias(f"_{i + 1}") for i, x in enumerate(t.items)]
+        return _struct(
+            (f"_{i + 1}", to_sql(x, env, agg_map)) for i, x in enumerate(t.items)
         )
     if isinstance(t, Proj):
-        return to_col(t.expr, env, agg_map).getField(t.field)
+        return f"{to_sql(t.expr, env, agg_map)}.{_id(t.field)}"
     if isinstance(t, Call):
-        fn = _CALLS.get(t.fn)
-        if fn is None:
+        args = [to_sql(a, env, agg_map) for a in t.args]
+        if t.fn == "dist2":  # squared Euclidean distance of 2-D points
+            p, c = args
+            dx, dy = f"({p}.`_1` - {c}.`_1`)", f"({p}.`_2` - {c}.`_2`)"
+            return f"(({dx} * {dx}) + ({dy} * {dy}))"
+        if t.fn not in _SQL_FN:
             raise BackendError(f"unknown function {t.fn!r}")
-        return fn(*[to_col(a, env, agg_map) for a in t.args])
+        return f"{_SQL_FN[t.fn]}({', '.join(args)})"
     if isinstance(t, InRange):
-        c = to_col(t.expr, env, agg_map)
-        return (c >= to_col(t.lo, env, agg_map)) & (c <= to_col(t.hi, env, agg_map))
-    raise BackendError(f"cannot compile term to column: {show(t)}")
+        c = to_sql(t.expr, env, agg_map)
+        lo, hi = to_sql(t.lo, env, agg_map), to_sql(t.hi, env, agg_map)
+        return f"(({c} >= {lo}) AND ({c} <= {hi}))"
+    raise BackendError(f"cannot lower term to SQL: {show(t)}")
 
 
-_AGG_FN = {
-    "+": F.sum,
-    "*": F.product,
-    "min": F.min,
-    "max": F.max,
-    "&&": F.bool_and,
-    "||": F.bool_or,
-}
+_SQL_AGG = {"+": "sum", "min": "min", "max": "max", "&&": "bool_and", "||": "bool_or"}
 
 
-def _agg_col(monoid: str, col):
+def _agg_sql(monoid: str, e: str) -> str:
     if monoid == "argmin":
-        return F.min_by(col, col.getField("_2"))
-    fn = _AGG_FN.get(monoid)
-    if fn is None:
+        return f"min_by({e}, {e}.`_2`)"
+    if monoid == "*":
+        # Spark SQL has no product aggregate: fold the group's values,
+        # seeded with the first one so the result keeps their type
+        vs = f"collect_list({e})"
+        return (
+            f"aggregate(slice({vs}, 2, greatest(size({vs}), 1)), get({vs}, 0), "
+            f"(_pa, _px) -> _pa * _px)"
+        )
+    if monoid not in _SQL_AGG:
         raise BackendError(f"unknown monoid {monoid!r}")
-    return fn(col)
+    return f"{_SQL_AGG[monoid]}({e})"
 
 
 def _collect_aggs(t, out: list) -> None:
@@ -238,6 +267,49 @@ def _collect_aggs(t, out: list) -> None:
         _collect_aggs(t.expr, out)
         _collect_aggs(t.lo, out)
         _collect_aggs(t.hi, out)
+
+
+class _Query:
+    """One Spark SQL query under construction: the arrays it reads and
+    fresh subquery aliases."""
+
+    def __init__(self, spark: SparkSession):
+        self.spark = spark
+        self.views: dict = {}  # id(DataFrame) -> (view name, DataFrame)
+        self.n = 0
+
+    def alias(self) -> str:
+        self.n += 1
+        return _id(f"_q{self.n}")
+
+    def scan(self, df: DataFrame, cols: list) -> str:
+        """FROM item reading array ``df`` with its columns renamed, by
+        position, to ``cols``."""
+        if id(df) not in self.views:
+            self.views[id(df)] = (f"_diablo_{len(self.views)}", df)
+        view = self.views[id(df)][0]
+        return f"{_id(view)} AS {self.alias()}({', '.join(map(_id, cols))})"
+
+    def run(self, sql: str, what: str) -> DataFrame:
+        """Analyse ``sql`` with the arrays it reads as temporary views;
+        the views are gone again when this returns."""
+        for view, df in self.views.values():
+            df.createOrReplaceTempView(view)
+        try:
+            return self.spark.sql(sql)
+        except AnalysisException as e:
+            msg = str(e).split("\n", 1)[0]
+            raise BackendError(
+                f"Spark rejected the query for {what}: {msg}\nquery: {sql}"
+            ) from e
+        finally:
+            if self.views:
+                # the session catalog, not spark.catalog.dropTempView:
+                # that one also uncaches the view's plan, i.e. a
+                # persisted input array
+                cat = self.spark._jsparkSession.sessionState().catalog()
+                for view, _ in self.views.values():
+                    cat.dropTempView(view)
 
 
 # ---------------------------------------------------- python evaluation
@@ -321,42 +393,36 @@ _PY_CALLS = {
 
 # ------------------------------------------------- comprehension compile
 class _Frontier:
-    """DataFrame under construction + the set of bound variable names."""
+    """Relation under construction: a FROM item and its column names,
+    which are the bound variables."""
 
-    def __init__(self):
-        self.df: Optional[DataFrame] = None
-        self.bound: set = set()
+    def __init__(self, src: str, cols: list):
+        self.src = src
+        self.cols = cols
 
+    def select(self, qb: _Query, items: list, tail: str = "") -> None:
+        self.src = f"(SELECT {', '.join(items)} FROM {self.src}{tail}) AS {qb.alias()}"
 
-def _pattern_cols(pat) -> list:
-    names = pat_vars(pat)
-    if not names:
-        raise BackendError("empty pattern")
-    return names
-
-
-def _scan(env, name: str, pat) -> DataFrame:
-    df = env[name]
-    if not isinstance(df, DataFrame):
-        raise BackendError(f"{name} is not an array")
-    names = _pattern_cols(pat)
-    if len(names) != len(df.columns):
-        raise BackendError(
-            f"pattern arity {len(names)} != array {name} arity {len(df.columns)}"
-        )
-    return df.toDF(*names).alias(f"scan_{name}_{id(pat)}")
+    def with_cols(self, exprs: dict) -> list:
+        """Select items that add the columns ``exprs`` names, or replace
+        them in place (``withColumn``)."""
+        items = [f"{exprs[c]} AS {_id(c)}" if c in exprs else _id(c) for c in self.cols]
+        for n, e in exprs.items():
+            if n not in self.cols:
+                items.append(f"{e} AS {_id(n)}")
+                self.cols.append(n)
+        return items
 
 
-def compile_comp(comp: Comp, env: dict, spark: SparkSession):
-    """Compile a comprehension to either a DataFrame (row per bag
-    element) with columns named after the head's needs, or a driver-side
-    Python value when the comprehension has no generators.
+def compile_comp(comp: Comp, env: dict, qb: _Query):
+    """Lower a comprehension to a relation (row per bag element) whose
+    columns are the variables the head needs, or evaluate it on the
+    driver when it has no generators.
 
-    Returns ``("df", DataFrame, head_term, agg_map)`` or
-    ``("scalar", value)``. The caller shapes the head.
+    Returns ``("rel", frontier, head_term, agg_map)``, ``("scalar",
+    value)`` or ``("scalar-empty", None)``. The caller shapes the head.
     """
-    has_gb = any(isinstance(q, GroupByQ) for q in comp.quals)
-    fr = _Frontier()
+    fr: Optional[_Frontier] = None
     pending: list = []  # unapplied conditions
     agg_map: dict = {}
     driver: dict = {}  # bindings resolved on the driver (no generators yet)
@@ -378,13 +444,12 @@ def compile_comp(comp: Comp, env: dict, spark: SparkSession):
     pending.extend(q.expr for q in comp.quals if _hoistable(q))
 
     def flush_conds():
-        still = []
-        for c in pending:
-            if free_vars(c) <= fr.bound:
-                fr.df = fr.df.filter(to_col(c, env, agg_map))
-            else:
-                still.append(c)
-        pending[:] = still
+        bound = set(fr.cols)
+        ready = [c for c in pending if free_vars(c) <= bound]
+        if ready:
+            pending[:] = [c for c in pending if not free_vars(c) <= bound]
+            where = " AND ".join(to_sql(c, env, agg_map) for c in ready)
+            fr.select(qb, [_id(c) for c in fr.cols], f" WHERE {where}")
 
     quals = list(comp.quals)
     i = 0
@@ -395,7 +460,7 @@ def compile_comp(comp: Comp, env: dict, spark: SparkSession):
         if isinstance(q, Cond):
             if _hoistable(q):
                 continue  # already hoisted into the pending set
-            if fr.df is None:
+            if fr is None:
                 # generator-free condition: evaluate on the driver
                 if not py_eval(q.expr, env, driver):
                     return ("scalar-empty", None)
@@ -404,39 +469,38 @@ def compile_comp(comp: Comp, env: dict, spark: SparkSession):
                 flush_conds()
             continue
         if isinstance(q, LetQ):
-            if fr.df is None:
-                names = pat_vars(q.pat)
+            names = pat_vars(q.pat)
+            if fr is None:
                 v = py_eval(q.expr, env, driver)
                 if len(names) == 1:
                     driver[names[0]] = v
                 else:
                     driver.update(zip(names, v))
                 continue
-            names = pat_vars(q.pat)
+            e = to_sql(q.expr, env, agg_map)
             if len(names) == 1:
-                fr.df = fr.df.withColumn(names[0], to_col(q.expr, env, agg_map))
+                fr.select(qb, fr.with_cols({names[0]: e}))
             else:
-                tmp = to_col(q.expr, env, agg_map)
-                for j, n in enumerate(names):
-                    fr.df = fr.df.withColumn(n, tmp.getField(f"_{j + 1}"))
-            fr.bound |= set(names)
+                fr.select(qb, fr.with_cols(
+                    {n: f"{e}.{_id(f'_{j + 1}')}" for j, n in enumerate(names)}
+                ))
             flush_conds()
             continue
         if isinstance(q, Generator):
+            names = pat_vars(q.pat)
             if isinstance(q.source, StateRef):
-                gdf = _scan(env, q.source.name, q.pat)
+                g = qb.scan(_array(env, q.source.name), names)
             elif isinstance(q.source, RangeT):
-                lo = py_eval(q.source.lo, env)
-                hi = py_eval(q.source.hi, env)
-                gdf = spark.range(int(lo), int(hi) + 1).toDF(pat_vars(q.pat)[0])
+                lo = int(py_eval(q.source.lo, env))
+                hi = int(py_eval(q.source.hi, env))
+                g = f"range({_lit(lo)}, {_lit(hi + 1)}) AS {qb.alias()}({_id(names[0])})"
             else:
                 raise BackendError(f"unnormalized generator source {show(q.source)}")
-            new_vars = set(pat_vars(q.pat))
-            if fr.df is None:
-                fr.df = gdf
-                fr.bound = new_vars
+            if fr is None:
+                fr = _Frontier(g, names)
             else:
-                both = fr.bound | new_vars
+                new_vars = set(names)
+                both = set(fr.cols) | new_vars
                 join_conds, still = [], []
                 for c in pending:
                     fv = free_vars(c)
@@ -445,85 +509,70 @@ def compile_comp(comp: Comp, env: dict, spark: SparkSession):
                     else:
                         still.append(c)
                 pending[:] = still
+                fr.cols = fr.cols + names
                 if join_conds:
-                    on = None
-                    for c in join_conds:
-                        col = to_col(c, env, agg_map)
-                        on = col if on is None else (on & col)
-                    fr.df = fr.df.join(gdf, on=on, how="inner")
+                    on = " AND ".join(to_sql(c, env, agg_map) for c in join_conds)
+                    join = f" JOIN {g} ON {on}"
                 else:
-                    fr.df = fr.df.crossJoin(gdf)
-                fr.bound = both
+                    join = f" CROSS JOIN {g}"
+                fr.select(qb, [_id(c) for c in fr.cols], join)
             flush_conds()
             continue
         if isinstance(q, GroupByQ):
-            if fr.df is None:
+            key_items = list(q.key.items) if isinstance(q.key, TupleT) else [q.key]
+            key_names = pat_vars(q.pat)
+            if fr is None:
                 # generator-free group-by: the bag is a singleton, so
                 # the group key is just the (constant) key value and
                 # every ⊕/e reduces to e (py_eval's Agg rule)
-                key_items = (
-                    list(q.key.items) if isinstance(q.key, TupleT) else [q.key]
-                )
-                for n, k in zip(pat_vars(q.pat), key_items):
+                for n, k in zip(key_names, key_items):
                     driver[n] = py_eval(k, env, driver)
                 continue
-            key_items = (
-                list(q.key.items) if isinstance(q.key, TupleT) else [q.key]
-            )
-            key_names = pat_vars(q.pat)
             if len(key_items) != len(key_names):
                 raise BackendError("group-by pattern/key arity mismatch")
-            for n, k in zip(key_names, key_items):
-                fr.df = fr.df.withColumn(n, to_col(k, env, agg_map))
+            fr.select(qb, fr.with_cols(
+                {n: to_sql(k, env, agg_map) for n, k in zip(key_names, key_items)}
+            ))
             # aggregations needed downstream
             aggs: list = []
             _collect_aggs(comp.head, aggs)
             for r in quals[i:]:
-                if isinstance(r, Cond):
-                    _collect_aggs(r.expr, aggs)
-                elif isinstance(r, LetQ):
+                if isinstance(r, (Cond, LetQ)):
                     _collect_aggs(r.expr, aggs)
                 elif isinstance(r, OuterLookup):
                     _collect_aggs(r.key, aggs)
-            agg_exprs = []
-            for a in aggs:
-                nm = f"_agg{len(agg_map)}"
-                if id(a) in agg_map:
-                    continue
-                agg_map[id(a)] = nm
-                agg_exprs.append(
-                    _agg_col(a.monoid, to_col(a.expr, env, None)).alias(nm)
-                )
-            if not agg_exprs:
+            agg_items = _plan_aggs(aggs, agg_map, env, total=False)
+            if not agg_items:
                 raise BackendError("group-by without any aggregation")
-            fr.df = fr.df.groupBy(*[F.col(n) for n in key_names]).agg(*agg_exprs)
-            fr.bound = set(key_names) | set(agg_map.values())
+            keys = ", ".join(map(_id, key_names))
+            fr.select(qb, [keys] + agg_items, f" GROUP BY {keys}")
+            fr.cols = key_names + list(agg_map.values())
             grouped = True
             flush_conds()
             continue
         if isinstance(q, OuterLookup):
-            if fr.df is None:
+            key_items = list(q.key.items) if isinstance(q.key, TupleT) else [q.key]
+            default = q.default.value if isinstance(q.default, Const) else None
+            if fr is None:
                 # driver-side lookup by a constant key
-                adf = env[q.array]
-                key_items = (
-                    list(q.key.items) if isinstance(q.key, TupleT) else [q.key]
+                lq = _Query(qb.spark)
+                knames = [f"_k{j + 1}" for j in range(len(key_items))]
+                src = lq.scan(_array(env, q.array), knames + ["_v"])
+                where = " AND ".join(
+                    f"{_id(kn)} = {_lit(py_eval(k, env, driver))}"
+                    for kn, k in zip(knames, key_items)
                 )
-                kvals = [py_eval(k, env, driver) for k in key_items]
-                cond = None
-                for j, kv in enumerate(kvals):
-                    c = F.col(f"_k{j + 1}") == F.lit(kv)
-                    cond = c if cond is None else (cond & c)
-                hit = adf.filter(cond).collect()
-                if hit:
-                    v = hit[0]["_v"]
-                    driver[q.var] = tuple(v) if hasattr(v, "asDict") else v
-                else:
-                    driver[q.var] = (
-                        q.default.value if isinstance(q.default, Const) else None
-                    )
+                hit = lq.run(f"SELECT `_v` FROM {src} WHERE {where}", show_q(q)).collect()
+                driver[q.var] = py_value(hit[0]["_v"]) if hit else default
                 continue
-            fr.df = _outer_lookup(fr, q, env, agg_map)
-            fr.bound.add(q.var)
+            knames = [f"_lk{j}_{q.var}" for j in range(len(key_items))]
+            vname = _id(f"_lv_{q.var}")
+            src = qb.scan(_array(env, q.array), knames + [f"_lv_{q.var}"])
+            on = " AND ".join(
+                f"({to_sql(k, env, agg_map)} = {_id(kn)})" for k, kn in zip(key_items, knames)
+            )
+            v = vname if default is None else f"coalesce({vname}, {_lit(default)})"
+            fr.select(qb, fr.with_cols({q.var: v}), f" LEFT JOIN {src} ON {on}")
             flush_conds()
             continue
         raise BackendError(f"unknown qualifier {q!r}")
@@ -534,81 +583,73 @@ def compile_comp(comp: Comp, env: dict, spark: SparkSession):
             + "; ".join(show(c) for c in pending)
         )
 
-    if fr.df is None:
+    if fr is None:
         return ("scalar", py_eval(comp.head, env, driver))
 
     if not grouped:
         aggs: list = []
         _collect_aggs(comp.head, aggs)
         if aggs:
-            # total aggregation (rule 16 removed a constant-key group-by);
-            # coalesce with the monoid identity so an empty input bag
-            # aggregates to the identity instead of NULL
-            from .translate import _IDENTITY
+            # total aggregation (rule 16 removed a constant-key group-by)
+            fr.select(qb, _plan_aggs(aggs, agg_map, env, total=True))
+            fr.cols = list(agg_map.values())
 
-            agg_exprs = []
-            for a in aggs:
-                if id(a) in agg_map:
-                    continue
-                nm = f"_agg{len(agg_map)}"
-                agg_map[id(a)] = nm
-                c = _agg_col(a.monoid, to_col(a.expr, env, None))
-                ident = _IDENTITY.get(a.monoid)
-                if isinstance(ident, Const) and ident.value is not None:
-                    c = F.coalesce(c, F.lit(ident.value))
-                agg_exprs.append(c.alias(nm))
-            fr.df = fr.df.agg(*agg_exprs)
-
-    return ("df", fr.df, comp.head, agg_map)
+    return ("rel", fr, comp.head, agg_map)
 
 
-def _outer_lookup(fr: _Frontier, q: OuterLookup, env: dict, agg_map: dict):
-    adf = env[q.array]
-    if not isinstance(adf, DataFrame):
-        raise BackendError(f"{q.array} is not an array")
-    ncols = len(adf.columns)
-    knames = [f"_lk{j}_{q.var}" for j in range(ncols - 1)]
-    vname = f"_lv_{q.var}"
-    adf = adf.toDF(*knames, vname)
-    key_items = list(q.key.items) if isinstance(q.key, TupleT) else [q.key]
-    if len(key_items) != len(knames):
-        raise BackendError("outer-lookup key arity mismatch")
-    on = None
-    for k, kn in zip(key_items, knames):
-        c = to_col(k, env, agg_map) == F.col(kn)
-        on = c if on is None else (on & c)
-    df = fr.df.join(adf, on=on, how="left")
-    default = q.default.value if isinstance(q.default, Const) else None
-    if default is None:
-        df = df.withColumn(q.var, F.col(vname))
-    else:
-        df = df.withColumn(q.var, F.coalesce(F.col(vname), F.lit(default)))
-    return df.drop(vname, *knames)
+def _plan_aggs(aggs: list, agg_map: dict, env: dict, total: bool) -> list:
+    """Name each new aggregation in ``agg_map``; return its select items.
+    A total aggregation is coalesced with the monoid identity so an
+    empty input bag aggregates to the identity instead of NULL."""
+    items = []
+    for a in aggs:
+        if id(a) in agg_map:
+            continue
+        nm = f"_agg{len(agg_map)}"
+        agg_map[id(a)] = nm
+        c = _agg_sql(a.monoid, to_sql(a.expr, env, None))
+        ident = _IDENTITY.get(a.monoid)
+        if total and isinstance(ident, Const) and ident.value is not None:
+            c = f"coalesce({c}, {_lit(ident.value)})"
+        items.append(f"{c} AS {_id(nm)}")
+    return items
 
 
 # --------------------------------------------------------- bag results
-def _lit_value(v):
-    """Literal column for a Python value; tuples become structs."""
-    if isinstance(v, tuple):
-        return F.struct(*[_lit_value(x).alias(f"_{i + 1}") for i, x in enumerate(v)])
-    return F.lit(v)
+def _key_cols(ndims: int, prefix: str = "_k", value: str = "_v") -> list:
+    return [f"{prefix}{j + 1}" for j in range(ndims)] + [value]
 
 
-def eval_bag_to_array(term, env, spark, ndims: int) -> DataFrame:
-    """Evaluate a bag term into an array DataFrame ``(_k1.._kn, _v)``."""
+def _array(env: dict, name: str) -> DataFrame:
+    df = env[name]
+    if not isinstance(df, DataFrame):
+        raise BackendError(f"{name} is not an array")
+    return df
+
+
+def _bag_sql(term, env, qb: _Query, ndims: int):
+    """A bag term's ``(_k1.._kn, _v)`` rows: the SELECT text that
+    computes them, the array DataFrame itself when they are one that
+    exists, or None for a generator-free comprehension whose condition
+    is false (the empty bag)."""
+    if isinstance(term, StateRef):
+        return _array(env, term.name)
     if isinstance(term, Merge):
         if not isinstance(term.old, StateRef):
             raise BackendError("merge target must be a state array")
-        old = env[term.old.name]
-        new = eval_bag_to_array(term.new, env, spark, ndims)
+        old = _array(env, term.old.name)
+        new = _bag_sql(term.new, env, qb, ndims)
         if new is None:  # empty bag: V ⊲ ∅ = V
             return old
-        return merge_arrays(old, new, ndims)
-    if isinstance(term, StateRef):
-        return env[term.name]
+        ncols = _key_cols(ndims, "_n", "_nv")
+        if isinstance(new, DataFrame):
+            new = qb.scan(new, ncols)
+        else:
+            new = f"({new}) AS {qb.alias()}({', '.join(map(_id, ncols))})"
+        return _merge_sql(qb.scan(old, _key_cols(ndims)), new, ndims)
     if not isinstance(term, Comp):
         raise BackendError(f"cannot evaluate bag term {show(term)}")
-    res = compile_comp(term, env, spark)
+    res = compile_comp(term, env, qb)
     if res[0] == "scalar-empty":
         return None
     if res[0] == "scalar":
@@ -616,37 +657,46 @@ def eval_bag_to_array(term, env, spark, ndims: int) -> DataFrame:
         v = res[1]
         if not isinstance(v, tuple) or len(v) != ndims + 1:
             raise BackendError("array assignment produced a scalar")
-        cols = [_lit_value(x).alias(f"_k{j + 1}") for j, x in enumerate(v[:-1])]
-        cols.append(_lit_value(v[-1]).alias("_v"))
-        return spark.range(1).select(*cols)
-    _, df, head, agg_map = res
+        items = [f"{_lit(x)} AS {_id(c)}" for x, c in zip(v, _key_cols(ndims))]
+        return f"SELECT {', '.join(items)} FROM range(1)"
+    _, fr, head, agg_map = res
     if not isinstance(head, TupleT) or len(head.items) != ndims + 1:
         raise BackendError(
             f"array head arity mismatch: {show(head)} for {ndims} dims"
         )
-    cols = [
-        to_col(x, env, agg_map).alias(f"_k{j + 1}")
-        for j, x in enumerate(head.items[:-1])
+    items = [
+        f"{to_sql(x, env, agg_map)} AS {_id(c)}"
+        for x, c in zip(head.items, _key_cols(ndims))
     ]
-    cols.append(to_col(head.items[-1], env, agg_map).alias("_v"))
-    return df.select(*cols)
+    return f"SELECT {', '.join(items)} FROM {fr.src}"
+
+
+def eval_bag_to_array(term, env, spark, ndims: int) -> DataFrame:
+    """Evaluate a bag term into an array DataFrame ``(_k1.._kn, _v)``
+    with one Spark SQL query."""
+    qb = _Query(spark)
+    sql = _bag_sql(term, env, qb, ndims)
+    if sql is None or isinstance(sql, DataFrame):
+        return sql
+    return qb.run(sql, show(term))
+
+
+def _merge_sql(old: str, new: str, ndims: int) -> str:
+    """``old ⊲ new`` over FROM items with columns ``_k1.._kn, _v`` and
+    ``_n1.._nn, _nv``: union preferring ``new`` on key collisions."""
+    pairs = list(zip(_key_cols(ndims), _key_cols(ndims, "_n", "_nv")))
+    items = [f"coalesce({_id(n)}, {_id(k)}) AS {_id(k)}" for k, n in pairs]
+    on = " AND ".join(f"({_id(k)} = {_id(n)})" for k, n in pairs[:-1])
+    return f"SELECT {', '.join(items)} FROM {old} FULL OUTER JOIN {new} ON {on}"
 
 
 def merge_arrays(old: DataFrame, new: DataFrame, ndims: int) -> DataFrame:
     """``old ⊲ new``: union preferring ``new`` on key collisions."""
-    nnames = [f"_n{j}" for j in range(ndims)] + ["_nv"]
-    new = new.toDF(*nnames)
-    on = None
-    for j in range(ndims):
-        c = F.col(f"_k{j + 1}") == F.col(f"_n{j}")
-        on = c if on is None else (on & c)
-    joined = old.join(new, on=on, how="full")
-    cols = [
-        F.coalesce(F.col(f"_n{j}"), F.col(f"_k{j + 1}")).alias(f"_k{j + 1}")
-        for j in range(ndims)
-    ]
-    cols.append(F.coalesce(F.col("_nv"), F.col("_v")).alias("_v"))
-    return joined.select(*cols)
+    qb = _Query(old.sparkSession)
+    sql = _merge_sql(
+        qb.scan(old, _key_cols(ndims)), qb.scan(new, _key_cols(ndims, "_n", "_nv")), ndims
+    )
+    return qb.run(sql, "a merge")
 
 
 def eval_scalar(term, env, spark):
@@ -654,25 +704,24 @@ def eval_scalar(term, env, spark):
     (present, value): an empty bag leaves the destination unchanged
     (matching the Figure-4 conditional semantics)."""
     if isinstance(term, Comp):
-        res = compile_comp(term, env, spark)
+        qb = _Query(spark)
+        res = compile_comp(term, env, qb)
         if res[0] == "scalar":
             return True, res[1]
         if res[0] == "scalar-empty":
             return False, None
-        _, df, head, agg_map = res
+        _, fr, head, agg_map = res
+        sql = f"SELECT {to_sql(head, env, agg_map)} AS `_v` FROM {fr.src}"
         # not limit(2): it scans partitions incrementally and launches
         # a second job whenever the first partition holds no row
-        out = df.select(to_col(head, env, agg_map).alias("_v")).collect()
+        out = qb.run(sql, show(term)).collect()
         if not out:
             return False, None
         if len(out) > 1:
             raise BackendError(
                 f"scalar assignment from a bag with more than one element: {show(term)}"
             )
-        v = out[0]["_v"]
-        if hasattr(v, "asDict"):  # Row (struct value) → tuple
-            v = tuple(v)
-        return True, v
+        return True, py_value(out[0]["_v"])
     return True, py_eval(term, env)
 
 

@@ -3,22 +3,11 @@ interpreter's dict arrays, plus result canonicalization for tests."""
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import DataFrame, Row, SparkSession
+from pyspark.sql import DataFrame, SparkSession
 
 from . import ast as A
-from .backend import spark_type
+from .backend import py_value, spark_type
 from pyspark.sql import types as T
-
-
-def _canon_value(v):
-    """Normalize a Spark value for comparison: Row structs become tuples
-    (fields ``_1.._n``) or dicts (named record fields)."""
-    if isinstance(v, Row):
-        d = v.asDict()
-        if all(k.startswith("_") and k[1:].isdigit() for k in d):
-            return tuple(_canon_value(d[f"_{i + 1}"]) for i in range(len(d)))
-        return {k: _canon_value(x) for k, x in d.items()}
-    return v
 
 
 def df_to_dict(df: DataFrame, ndims: int) -> dict:
@@ -26,7 +15,7 @@ def df_to_dict(df: DataFrame, ndims: int) -> dict:
     out = {}
     for row in df.collect():
         key = tuple(row[j] for j in range(ndims))
-        out[key if ndims > 1 else key[0]] = _canon_value(row[ndims])
+        out[key if ndims > 1 else key[0]] = py_value(row[ndims])
     return out
 
 
