@@ -17,21 +17,31 @@ array generators become scans of the arrays (registered as temporary
 views while the query is analysed), ``range`` generators become the
 ``range`` table function, equality conditions between two generators'
 variables become equi-join predicates, ``group by`` becomes ``GROUP BY``
-with one aggregate per ``⊕/e`` reduction, the outer lookup of rule
-(15a) becomes a ``LEFT JOIN`` + ``coalesce`` with the monoid identity,
-and the array merge ``⊲`` becomes a ``FULL OUTER JOIN`` with
-``coalesce`` (paper: "on Spark, ⊲ can be implemented as a coGroup").
-Scalar state enters the query as literals typed as ``F.lit`` would
-type them.
+with one aggregate per ``⊕/e`` reduction, and the array merge ``⊲``
+becomes a ``FULL OUTER JOIN`` with ``coalesce`` (paper: "on Spark, ⊲
+can be implemented as a coGroup"). Scalar state enters the query as
+literals typed as ``F.lit`` would type them.
+
+An incremental update (rule 15a: ``X ⊲ {(k, w ⊕ ⊕/v) | …, group by k,
+w <~ X[k] ?? id}``) is that one join: the lookup of the pre-update
+value ``w`` reads the old side of the merge's join instead of joining
+``X`` a second time. A merge into a just-initialised array is the new
+bag alone, with no join; every lookup into it misses.
 
 Conditions are applied as soon as all their variables are in scope
 (filter pushup is semantics-preserving for pure predicates), which also
 lets the Section 3.6 ``inRange`` predicates land on the array scans.
+
+A ``while`` loop checkpoints the arrays that carry state across
+iterations before each iteration that reads them, so not after the
+last one: there they stay lazy, and each later read of such an array
+computes the last iteration again (no suite program reads one twice).
 """
 from __future__ import annotations
 
 import math
 import numbers
+import weakref
 from typing import Optional
 
 from pyspark.errors import AnalysisException
@@ -96,19 +106,24 @@ def _sql_type(dt: T.DataType) -> str:
     return dt.simpleString().upper()
 
 
+# the arrays empty_array returned, each mapped to its columns' SQL types:
+# a merge into one of them is the new bag alone, with no join
+_FRESH: "weakref.WeakKeyDictionary[DataFrame, list]" = weakref.WeakKeyDictionary()
+
+
 def empty_array(spark: SparkSession, t: A.TArray) -> DataFrame:
     types = [
-        spark_type(t.key if i == 0 and t.ndims == 1 else A.TBasic("long"))
+        _sql_type(spark_type(t.key if i == 0 and t.ndims == 1 else A.TBasic("long")))
         for i in range(t.ndims)
-    ] + [spark_type(t.elem)]
+    ] + [_sql_type(spark_type(t.elem))]
     items = ", ".join(
-        f"CAST(NULL AS {_sql_type(dt)}) AS {_id(c)}"
-        for c, dt in zip(_key_cols(t.ndims), types)
+        f"CAST(NULL AS {ty}) AS {_id(c)}" for c, ty in zip(_key_cols(t.ndims), types)
     )
     # LIMIT 0 makes the emptiness visible to Catalyst (an empty
-    # LocalRelation), so PropagateEmptyRelation removes the outer-lookup
-    # and merge joins against a freshly initialised target
-    return _Query(spark).run(f"SELECT {items} LIMIT 0", "an empty array")
+    # LocalRelation) for the reads of a fresh array that are not merges
+    df = _Query(spark).run(f"SELECT {items} LIMIT 0", "an empty array")
+    _FRESH[df] = types
+    return df
 
 
 # -------------------------------------------------------- SQL lowering
@@ -165,7 +180,7 @@ def py_value(v):
 
 _SQL_BIN = {
     "==": "=", "&&": "AND", "||": "OR",
-    **{op: op for op in ("+", "-", "*", "/", "%", "!=", "<", "<=", ">", ">=")},
+    **{op: op for op in ("+", "-", "*", "/", "!=", "<", "<=", ">", ">=")},
 }
 # ln, not log: SQL's one-argument log is Logarithm(e, x), F.log's is Log(x)
 _SQL_FN = {"log": "ln", **{f: f for f in ("sqrt", "abs", "exp", "floor", "ceil", "coalesce")}}
@@ -189,6 +204,11 @@ def to_sql(t, env: dict, agg_map: Optional[dict] = None) -> str:
         return _id(agg_map[key])
     if isinstance(t, BinOp):
         a, b = to_sql(t.left, env, agg_map), to_sql(t.right, env, agg_map)
+        if t.op == "%":
+            # floored, like Python's: SQL's % truncates, and pmod
+            # differs from both when the divisor is negative
+            r = f"({a} % {b})"
+            return f"(CASE WHEN {r} <> 0 AND ({r} < 0) <> ({b} < 0) THEN {r} + {b} ELSE {r} END)"
         if t.op in _SQL_BIN:
             return f"({a} {_SQL_BIN[t.op]} {b})"
         if t.op == "min":
@@ -539,8 +559,6 @@ def compile_comp(comp: Comp, env: dict, qb: _Query):
             for r in quals[i:]:
                 if isinstance(r, (Cond, LetQ)):
                     _collect_aggs(r.expr, aggs)
-                elif isinstance(r, OuterLookup):
-                    _collect_aggs(r.key, aggs)
             agg_items = _plan_aggs(aggs, agg_map, env, total=False)
             if not agg_items:
                 raise BackendError("group-by without any aggregation")
@@ -565,16 +583,9 @@ def compile_comp(comp: Comp, env: dict, qb: _Query):
                 hit = lq.run(f"SELECT `_v` FROM {src} WHERE {where}", show_q(q)).collect()
                 driver[q.var] = py_value(hit[0]["_v"]) if hit else default
                 continue
-            knames = [f"_lk{j}_{q.var}" for j in range(len(key_items))]
-            vname = _id(f"_lv_{q.var}")
-            src = qb.scan(_array(env, q.array), knames + [f"_lv_{q.var}"])
-            on = " AND ".join(
-                f"({to_sql(k, env, agg_map)} = {_id(kn)})" for k, kn in zip(key_items, knames)
-            )
-            v = vname if default is None else f"coalesce({vname}, {_lit(default)})"
-            fr.select(qb, fr.with_cols({q.var: v}), f" LEFT JOIN {src} ON {on}")
-            flush_conds()
-            continue
+            # rule 15a's lookup of the pre-update value is lowered with
+            # its merge, by _update_sql
+            raise BackendError(f"outer lookup outside an array update: {show_q(q)}")
         raise BackendError(f"unknown qualifier {q!r}")
 
     if pending:
@@ -638,15 +649,13 @@ def _bag_sql(term, env, qb: _Query, ndims: int):
         if not isinstance(term.old, StateRef):
             raise BackendError("merge target must be a state array")
         old = _array(env, term.old.name)
-        new = _bag_sql(term.new, env, qb, ndims)
-        if new is None:  # empty bag: V ⊲ ∅ = V
-            return old
-        ncols = _key_cols(ndims, "_n", "_nv")
-        if isinstance(new, DataFrame):
-            new = qb.scan(new, ncols)
+        if _is_update(term, ndims):
+            new = _update_sql(old, term.new, env, qb, ndims)
         else:
-            new = f"({new}) AS {qb.alias()}({', '.join(map(_id, ncols))})"
-        return _merge_sql(qb.scan(old, _key_cols(ndims)), new, ndims)
+            new = _bag_sql(term.new, env, qb, ndims)
+            if new is not None:
+                new = _merge_sql(qb, old, new, ndims)
+        return old if new is None else new  # empty bag: V ⊲ ∅ = V
     if not isinstance(term, Comp):
         raise BackendError(f"cannot evaluate bag term {show(term)}")
     res = compile_comp(term, env, qb)
@@ -681,22 +690,97 @@ def eval_bag_to_array(term, env, spark, ndims: int) -> DataFrame:
     return qb.run(sql, show(term))
 
 
-def _merge_sql(old: str, new: str, ndims: int) -> str:
-    """``old ⊲ new`` over FROM items with columns ``_k1.._kn, _v`` and
-    ``_n1.._nn, _nv``: union preferring ``new`` on key collisions."""
-    pairs = list(zip(_key_cols(ndims), _key_cols(ndims, "_n", "_nv")))
+def _merge_sql(qb: _Query, old: DataFrame, new, ndims: int) -> str:
+    """``old ⊲ new`` for an array ``old`` and the rows ``new`` (an array
+    or the SELECT text of a bag): union preferring ``new`` on key
+    collisions. Into a fresh ``old`` this is ``new`` alone."""
+    ncols = _key_cols(ndims, "_n", "_nv")
+    if isinstance(new, DataFrame):
+        new = qb.scan(new, ncols)
+    else:
+        new = f"({new}) AS {qb.alias()}({', '.join(map(_id, ncols))})"
+    if old in _FRESH:
+        return _fresh_sql(_FRESH[old], list(map(_id, ncols)), new)
+    pairs = list(zip(_key_cols(ndims), ncols))
     items = [f"coalesce({_id(n)}, {_id(k)}) AS {_id(k)}" for k, n in pairs]
     on = " AND ".join(f"({_id(k)} = {_id(n)})" for k, n in pairs[:-1])
+    old = qb.scan(old, _key_cols(ndims))
     return f"SELECT {', '.join(items)} FROM {old} FULL OUTER JOIN {new} ON {on}"
 
 
 def merge_arrays(old: DataFrame, new: DataFrame, ndims: int) -> DataFrame:
     """``old ⊲ new``: union preferring ``new`` on key collisions."""
     qb = _Query(old.sparkSession)
-    sql = _merge_sql(
-        qb.scan(old, _key_cols(ndims)), qb.scan(new, _key_cols(ndims, "_n", "_nv")), ndims
+    return qb.run(_merge_sql(qb, old, new, ndims), "a merge")
+
+
+def _fresh_sql(types: list, exprs: list, src: str) -> str:
+    """The rows ``exprs`` over ``src`` as a merge into a fresh array with
+    column types ``types``. Each column keeps the type the full outer
+    join against the empty array gave it (the wider of the two), and
+    Catalyst folds the ``coalesce`` with NULL away."""
+    items = [
+        f"coalesce({e}, CAST(NULL AS {ty})) AS {_id(c)}"
+        for e, ty, c in zip(exprs, types, _key_cols(len(types) - 1))
+    ]
+    return f"SELECT {', '.join(items)} FROM {src}"
+
+
+def _is_update(term: Merge, ndims: int) -> bool:
+    """Whether ``term`` is rule 15a's update of its target array ``X``:
+    ``X ⊲ {(k, f(w, …)) | …, w <~ X[k] ?? d}`` with a generator, whose
+    last qualifier looks up the pre-update value by the head's key."""
+    c = term.new
+    if not (isinstance(c, Comp) and c.quals and isinstance(c.head, TupleT)):
+        return False
+    look = c.quals[-1]
+    if not (isinstance(look, OuterLookup) and look.array == term.old.name):
+        return False
+    key = list(look.key.items) if isinstance(look.key, TupleT) else [look.key]
+    return (
+        len(c.head.items) == ndims + 1
+        and list(c.head.items[:ndims]) == key
+        and any(isinstance(q, Generator) for q in c.quals)
     )
-    return qb.run(sql, "a merge")
+
+
+def _update_sql(old: DataFrame, comp: Comp, env, qb: _Query, ndims: int):
+    """An update (see ``_is_update``) of ``old`` as one query: the bag
+    ``q`` without the lookup, ``old FULL OUTER JOIN q`` on the key with
+    ``w = coalesce(old._v, d)``, and the value ``f(w, …)`` where a row of
+    ``q`` is present, else ``old._v``. Into a fresh ``old`` every lookup
+    misses: ``w`` is ``d`` and there is no join. None when the bag is
+    empty."""
+    look = comp.quals[-1]
+    res = compile_comp(Comp(comp.head, comp.quals[:-1]), env, qb)
+    if res[0] == "scalar-empty":
+        return None
+    _, fr, head, agg_map = res
+    exprs = [to_sql(x, env, agg_map) for x in head.items]
+    default = _lit(look.default.value) if isinstance(look.default, Const) else "NULL"
+    if look.default in (_IDENTITY["min"], _IDENTITY["max"]):
+        # least/greatest skip NULLs, so a missed lookup needs no ±inf
+        # identity, a double that would turn longs into doubles
+        default = "NULL"
+    if old in _FRESH:
+        types = _FRESH[old]
+        fr.select(qb, fr.with_cols({look.var: f"coalesce(CAST(NULL AS {types[-1]}), {default})"}))
+        return _fresh_sql(types, exprs, fr.src)
+    ocols = _key_cols(ndims, f"_lk_{look.var}_", f"_lv_{look.var}")
+    scan = qb.scan(old, ocols)
+    ocols = list(map(_id, ocols))
+    hit = _id(f"_hit_{look.var}")
+    fr.select(qb, [_id(c) for c in fr.cols] + [f"true AS {hit}"])
+    on = " AND ".join(f"({e} = {c})" for e, c in zip(exprs[:-1], ocols))
+    fr.select(qb, [_id(c) for c in fr.cols] + [
+        hit, *ocols, f"coalesce({ocols[-1]}, {default}) AS {_id(look.var)}"
+    ], f" FULL OUTER JOIN {scan} ON {on}")
+    items = [f"coalesce({e}, {c})" for e, c in zip(exprs, ocols[:-1])] + [
+        f"coalesce(CASE WHEN {hit} THEN {exprs[-1]} END, {ocols[-1]})"
+    ]
+    return "SELECT " + ", ".join(
+        f"{e} AS {_id(c)}" for e, c in zip(items, _key_cols(ndims))
+    ) + f" FROM {fr.src}"
 
 
 def eval_scalar(term, env, spark):
@@ -741,20 +825,31 @@ def run_code(code, env: dict, spark: SparkSession, types: dict) -> dict:
                     env[st.name] = v
         elif isinstance(st, TWhile):
             carried = _carried_arrays(st.body, types)
+            cond_reads = bool(set(state_refs(st.cond)) & set(carried))
+            dirty = False  # carried arrays hold an unchecked iteration
             while True:
+                if dirty and cond_reads:
+                    _checkpoint(env, carried)
+                    dirty = False
                 present, c = eval_scalar(st.cond, env, spark)
                 if not present or not c:
                     break
+                if dirty:
+                    _checkpoint(env, carried)
                 run_code(st.body, env, spark, types)
-                # truncate the lineage of the arrays that carry state to
-                # the next iteration; upstream ones first, so no
-                # checkpoint recomputes another's plan
-                for s in carried:
-                    if isinstance(env.get(s), DataFrame):
-                        env[s] = env[s].localCheckpoint(eager=True)
+                dirty = True
         else:
             raise BackendError(f"unknown target statement {st!r}")
     return env
+
+
+def _checkpoint(env: dict, carried: list) -> None:
+    """Truncate the lineage of the arrays that carry state into the next
+    iteration, upstream ones first so no checkpoint recomputes another's
+    plan."""
+    for s in carried:
+        if isinstance(env.get(s), DataFrame):
+            env[s] = env[s].localCheckpoint(eager=True)
 
 
 def _carried_arrays(body, types) -> list:

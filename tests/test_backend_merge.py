@@ -1,0 +1,144 @@
+"""The Spark lowering of array updates and loops: an update of an existing
+array is one full outer join, a merge into a just-initialised array is
+the new bag alone, and a ``while`` loop checkpoints its carried arrays
+only before an iteration that reads them."""
+import pytest
+
+from repro.core import ast as A
+from repro.core.convert import approx_dict_equal, df_to_dict, dict_to_df
+from repro.core.pipeline import compile_program, run_program
+from repro.programs.handwritten import HANDWRITTEN
+from repro.programs.suite import BY_NAME, build_envs
+from tests.test_backend_sql import _same, three_engines
+from tests.test_handwritten import _plan_shape
+
+L, D = A.TBasic("long"), A.TBasic("double")
+VEC_L = A.TArray(1, L)
+# keys 0 and 1 are in both the old array and the update, 5 and (5, 5)
+# only in the old one, 2 and 7 only in the update
+K = {0: 0, 1: 2, 2: 2, 3: 7, 4: 1}
+J = {0: 0, 1: 1, 2: 1, 3: 3, 4: 1}
+
+
+def _update(op, elem, old, values, ndims):
+    dest = "C[K[i]]" if ndims == 1 else "C[K[i], J[i]]"
+    src = f"for i = 0, 4 do {dest} {op} {'(i, V[i])' if op == 'argmin=' else 'V[i]'};"
+    env = {"C": old, "K": K, "J": J, "V": dict(enumerate(values))}
+    vt = D if isinstance(values[0], float) else L
+    types = {"C": A.TArray(ndims, elem), "K": VEC_L, "J": VEC_L, "V": A.TArray(1, vt)}
+    return src, env, types
+
+
+UPDATES = [
+    ("+=", L, {0: 10, 1: 20, 5: 50}, [1, 2, 3, 4, 5], 1),
+    ("+=", D, {(0, 0): 1.5, (1, 1): 2.5, (5, 5): 5.0}, [1.0, 2.0, 3.0, 4.0, 5.0], 2),
+    ("min=", D, {0: 2.0, 1: -1.0, 5: 0.0}, [3.0, 1.0, -2.0, 4.0, 0.5], 1),
+    ("max=", L, {(0, 0): 2, (1, 1): 9, (5, 5): 0}, [3, 1, -2, 4, 5], 2),
+    ("*=", L, {0: 3, 1: 2, 5: 7}, [2, 3, 4, 5, 6], 1),
+    ("argmin=", A.TTuple((L, D)), {0: (9, 0.5), 1: (8, 0.1), 5: (1, 1.0)},
+     [3.0, 1.0, 0.5, 0.2, 0.3], 1),
+    ("argmin=", A.TTuple((L, D)), {(0, 0): (9, 0.5), (1, 1): (8, 0.1), (5, 5): (1, 1.0)},
+     [0.1, 1.0, 0.5, 0.2, 0.3], 2),
+]
+
+
+@pytest.mark.parametrize(
+    "op,elem,old,values,ndims", UPDATES,
+    ids=["sum-1d", "sum-2d", "min-1d", "max-2d", "long-product-1d", "argmin-1d", "argmin-2d"],
+)
+def test_update_of_existing_array_agrees(spark, op, elem, old, values, ndims):
+    interp, seq, sp = three_engines(spark, *_update(op, elem, old, values, ndims))
+    assert _same(seq["C"], interp["C"]) and _same(sp["C"], interp["C"])
+    only_old, only_new = (5, 7) if ndims == 1 else ((5, 5), (7, 3))
+    assert sp["C"][only_old] == old[only_old] and only_new in sp["C"]
+
+
+def test_update_of_existing_array_is_one_join(spark):
+    # was a left join for the lookup and a full outer join for the merge
+    types = {"C": VEC_L, "K": VEC_L}
+    env = {"C": dict_to_df(spark, {0: 10, 5: 50}, VEC_L), "K": dict_to_df(spark, K, VEC_L)}
+    out = run_program(compile_program("for i = 0, 4 do C[K[i]] += 1;", types), env, spark)
+    assert _plan_shape(out["C"]) == (2, 1)
+    assert df_to_dict(out["C"], 1) == {0: 11, 1: 1, 2: 2, 5: 50, 7: 1}
+
+
+def test_fresh_double_array_of_long_counts_stays_double(spark):
+    src = "var C: vector[double] = vector(); for v in V do C[v] += 1;"
+    out = run_program(
+        compile_program(src, {"V": VEC_L}),
+        {"V": dict_to_df(spark, {0: 3, 1: 4, 2: 3}, VEC_L)}, spark,
+    )
+    assert out["C"].schema["_v"].dataType.simpleString() == "double"
+    assert _same(df_to_dict(out["C"], 1), {3: 2.0, 4: 1.0})
+
+
+def test_fresh_long_array_max_stays_long(spark):
+    # the max identity is -inf, a double; a missed lookup is NULL instead
+    src = "var M: vector[long] = vector(); for v in V do M[v % 2] max= v;"
+    for env in three_engines(spark, src, {"V": {0: 3, 1: -4, 2: 8}}, {"V": VEC_L}):
+        assert _same(env["M"], {0: 8, 1: 3})
+
+
+# --------------------------------------------------- plan shapes
+@pytest.fixture(scope="module")
+def tiny_runs(spark):
+    out = {}
+    for name in ("PageRank", "KMeans"):
+        env, _, types = build_envs(BY_NAME[name], "tiny", spark)
+        out[name] = (run_program(compile_program(BY_NAME[name].source, types), env, spark),
+                     HANDWRITTEN[name](env))
+    return out
+
+
+def test_pagerank_counts_plan_like_handwritten(tiny_runs):
+    # the range fill C[i] := 0 and the update C[i] += 1 were two joins
+    diablo, hand = tiny_runs["PageRank"]
+    assert _plan_shape(diablo["C"]) == _plan_shape(hand["C"]) == (2, 1)
+
+
+def test_kmeans_centroids_shuffle_like_handwritten(tiny_runs):
+    diablo, hand = tiny_runs["KMeans"]
+    assert _plan_shape(diablo["C"])[0] == _plan_shape(hand["C"])[0] == 4
+
+
+# --------------------------------------------------- checkpoints
+@pytest.fixture
+def checkpoints(spark, monkeypatch):
+    calls = []
+    cls = type(spark.range(1))
+    orig = cls.localCheckpoint
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "localCheckpoint", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name,steps,want", [
+    ("PageRank", 1, 0), ("KMeans", 1, 0),
+    # one carried array each (P, C): checkpointed before iterations 2-4
+    ("PageRank", 4, 3), ("KMeans", 4, 3),
+])
+def test_loop_checkpoints_only_before_an_iteration(spark, checkpoints, name, steps, want):
+    prog = BY_NAME[name]
+    env, _, types = build_envs(prog, "tiny", spark)
+    env["num_steps"] = steps
+    comp = compile_program(prog.source, types)
+    out = run_program(comp, env, spark)
+    hand = HANDWRITTEN[name](env)
+    assert len(checkpoints) == want
+    for o, hv in hand.items():
+        if isinstance(comp.types.get(o), A.TArray):
+            nd = comp.types[o].ndims
+            assert approx_dict_equal(df_to_dict(hv, nd), df_to_dict(out[o], nd)), o
+
+
+def test_loop_condition_reading_a_carried_array(spark, checkpoints):
+    src = "var n: long = 0; while (X[0] < 3) { n += 1; for i = 0, 1 do X[i] += 1; };"
+    interp, seq, sp = three_engines(spark, src, {"X": {0: 0, 1: 10}}, {"X": VEC_L})
+    assert sp["X"] == seq["X"] == interp["X"] == {0: 3, 1: 13}
+    assert sp["n"] == interp["n"] == 3
+    # before each re-test of the condition after an iteration
+    assert len(checkpoints) == 3

@@ -105,6 +105,21 @@ def test_grouped_long_product_stays_long(spark):
         assert _same(env["P"], {0: 8, 1: 3})
 
 
+@pytest.mark.parametrize("V,d,t", [
+    ({0: -4, 1: -3, 2: -1, 3: 2, 4: 7}, 3, VEC_L),
+    ({0: 7, 1: -7, 2: 6, 3: -2, 4: 1}, -3, VEC_L),
+    ({0: -7.5, 1: 7.5, 2: -4.0, 3: 0.5, 4: 3.0}, 2.0, VEC_D),
+    ({0: -7.5, 1: 7.5, 2: -4.0, 3: 0.5, 4: 3.0}, -2.0, VEC_D),
+], ids=["negative-long-mod-3", "long-mod-minus-3", "double-mod-2", "double-mod-minus-2"])
+def test_mod_is_floored(spark, V, d, t):
+    # SQL's % truncates and pmod(7, -3) is 1; Python's 7 % -3 is -2
+    src = f"var R: {'vector[long]' if t is VEC_L else 'vector[double]'} = vector(); " \
+          "for i = 0, 4 do R[i] := V[i] % d;"
+    want = {i: v % d for i, v in V.items()}
+    for env in three_engines(spark, src, {"V": V, "d": d}, {"V": t}):
+        assert _same(env["R"], want)
+
+
 # ------------------------------------------------- cache and catalog
 def _temp_views(spark):
     return {t.name for t in spark.catalog.listTables() if t.isTemporary}
