@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 from repro.core import ast as A
 from repro.core.interp import interpret
+from repro.core.monoids import BIN, IDENTITY
 from repro.core.parser import parse
 
 
@@ -40,18 +41,6 @@ class CasperFail(Exception):
 
 class CasperTimeout(CasperFail):
     """Synthesis exceeded its time budget."""
-
-
-_IDENT = {"+": 0, "*": 1, "min": float("inf"), "max": float("-inf"),
-          "&&": True, "||": False}
-_COMBINE = {
-    "+": lambda a, b: a + b,
-    "*": lambda a, b: a * b,
-    "min": min,
-    "max": max,
-    "&&": lambda a, b: a and b,
-    "||": lambda a, b: a or b,
-}
 
 
 def _field(v, f):
@@ -86,14 +75,14 @@ class Summary:
         if self.pred is not None:
             vals = [v for v in vals if self.pred[1](v)]
         if not self.keyed:
-            acc = _IDENT[self.monoid]
+            acc = IDENTITY[self.monoid]
             for v in vals:
-                acc = _COMBINE[self.monoid](acc, fn(v))
+                acc = BIN[self.monoid](acc, fn(v))
             return acc
         out = {}
         for v in vals:
             k = self.key[1](v)
-            out[k] = _COMBINE[self.monoid](out.get(k, _IDENT[self.monoid]), fn(v))
+            out[k] = BIN[self.monoid](out.get(k, IDENTITY[self.monoid]), fn(v))
         return out
 
     def __str__(self):

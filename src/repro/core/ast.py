@@ -210,18 +210,6 @@ class SBlock:
 Stmt = Union[SDecl, SAssign, SIncr, SFor, SForIn, SWhile, SIf, SBlock]
 
 
-# Commutative monoids usable in incremental updates, with identities.
-MONOIDS = {
-    "+": 0,
-    "*": 1,
-    "min": float("inf"),
-    "max": float("-inf"),
-    "&&": True,
-    "||": False,
-    "argmin": None,  # identity is "absent"; combine keeps smaller ._2
-}
-
-
 def block(stmts) -> SBlock:
     """Build a block, flattening nested blocks for convenience."""
     out = []

@@ -11,16 +11,16 @@ State representation:
 
 Each target statement is lowered to the text of one Spark SQL query and
 run with a single ``spark.sql`` call, so Catalyst analyses the whole
-statement once instead of once per DataFrame call. The comprehension
-is lowered qualifier-by-qualifier into nested ``SELECT … FROM (…)``:
-array generators become scans of the arrays (registered as temporary
-views while the query is analysed), ``range`` generators become the
-``range`` table function, equality conditions between two generators'
-variables become equi-join predicates, ``group by`` becomes ``GROUP BY``
-with one aggregate per ``⊕/e`` reduction, and the array merge ``⊲``
-becomes a ``FULL OUTER JOIN`` with ``coalesce`` (paper: "on Spark, ⊲
-can be implemented as a coGroup"). Scalar state enters the query as
-literals typed as ``F.lit`` would type them.
+statement once instead of once per DataFrame call. ``plan.plan`` lowers
+each comprehension to relational steps, and this module spells them as
+nested ``SELECT … FROM (…)``: scans of the arrays (registered as
+temporary views while the query is analysed), the ``range`` table
+function, joins on their conditions, ``WHERE`` filters, ``GROUP BY``
+with one aggregate per ``⊕/e`` reduction; the array merge ``⊲`` becomes
+a ``FULL OUTER JOIN`` with ``coalesce`` (paper: "on Spark, ⊲ can be
+implemented as a coGroup"). The steps before the first generator run on
+the driver with the sequential engine's evaluator. Scalar state enters
+the query as literals typed as ``F.lit`` would type them.
 
 An incremental update (rule 15a: ``X ⊲ {(k, w ⊕ ⊕/v) | …, group by k,
 w <~ X[k] ?? id}``) is that one join: the lookup of the pre-update
@@ -28,9 +28,9 @@ value ``w`` reads the old side of the merge's join instead of joining
 ``X`` a second time. A merge into a just-initialised array is the new
 bag alone, with no join; every lookup into it misses.
 
-Conditions are applied as soon as all their variables are in scope
-(filter pushup is semantics-preserving for pure predicates), which also
-lets the Section 3.6 ``inRange`` predicates land on the array scans.
+The plan applies conditions as soon as all their variables are bound,
+which lets the Section 3.6 ``inRange`` predicates land on the array
+scans.
 
 A ``while`` loop checkpoints the arrays that carry state across
 iterations before each iteration that reads them, so not after the
@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 import numbers
 import weakref
-from typing import Optional
 
 from pyspark.errors import AnalysisException
 from pyspark.sql import DataFrame, Row, SparkSession
@@ -50,31 +49,25 @@ from pyspark.sql import types as T
 
 from . import ast as A
 from .comprehension import (
-    Agg,
     BinOp,
     Call,
     Comp,
-    Cond,
     Const,
     Generator,
-    GroupByQ,
     InRange,
-    LetQ,
     Merge,
     OuterLookup,
     Proj,
-    RangeT,
     StateRef,
     TupleT,
     UnOp,
     Var,
-    free_vars,
-    pat_vars,
     show,
-    show_q,
     state_refs,
 )
-from .translate import _IDENTITY, TAssign, TInit, TWhile
+from .monoids import IDENTITY
+from .plan import Filter, GroupBy, Join, Let, Scan, Total, compile_term, plan, run_driver
+from .translate import TAssign, TInit, TWhile
 
 
 class BackendError(Exception):
@@ -186,7 +179,7 @@ _SQL_BIN = {
 _SQL_FN = {"log": "ln", **{f: f for f in ("sqrt", "abs", "exp", "floor", "ceil", "coalesce")}}
 
 
-def to_sql(t, env: dict, agg_map: Optional[dict] = None) -> str:
+def to_sql(t, env: dict) -> str:
     """Lower a comprehension term to a Spark SQL expression."""
     if isinstance(t, Var):
         return _id(t.name)
@@ -197,13 +190,8 @@ def to_sql(t, env: dict, agg_map: Optional[dict] = None) -> str:
         if isinstance(v, DataFrame):
             raise BackendError(f"array {t.name} used in scalar position")
         return _lit(v)
-    if agg_map is not None and isinstance(t, Agg):
-        key = id(t)
-        if key not in agg_map:
-            raise BackendError(f"unplanned aggregation {show(t)}")
-        return _id(agg_map[key])
     if isinstance(t, BinOp):
-        a, b = to_sql(t.left, env, agg_map), to_sql(t.right, env, agg_map)
+        a, b = to_sql(t.left, env), to_sql(t.right, env)
         if t.op == "%":
             # floored, like Python's: SQL's % truncates, and pmod
             # differs from both when the divisor is negative
@@ -222,16 +210,16 @@ def to_sql(t, env: dict, agg_map: Optional[dict] = None) -> str:
             )
         raise BackendError(f"unknown binary operator {t.op!r}")
     if isinstance(t, UnOp):
-        c = to_sql(t.expr, env, agg_map)
+        c = to_sql(t.expr, env)
         return f"(- {c})" if t.op == "-" else f"(NOT {c})"
     if isinstance(t, TupleT):
         return _struct(
-            (f"_{i + 1}", to_sql(x, env, agg_map)) for i, x in enumerate(t.items)
+            (f"_{i + 1}", to_sql(x, env)) for i, x in enumerate(t.items)
         )
     if isinstance(t, Proj):
-        return f"{to_sql(t.expr, env, agg_map)}.{_id(t.field)}"
+        return f"{to_sql(t.expr, env)}.{_id(t.field)}"
     if isinstance(t, Call):
-        args = [to_sql(a, env, agg_map) for a in t.args]
+        args = [to_sql(a, env) for a in t.args]
         if t.fn == "dist2":  # squared Euclidean distance of 2-D points
             p, c = args
             dx, dy = f"({p}.`_1` - {c}.`_1`)", f"({p}.`_2` - {c}.`_2`)"
@@ -240,8 +228,8 @@ def to_sql(t, env: dict, agg_map: Optional[dict] = None) -> str:
             raise BackendError(f"unknown function {t.fn!r}")
         return f"{_SQL_FN[t.fn]}({', '.join(args)})"
     if isinstance(t, InRange):
-        c = to_sql(t.expr, env, agg_map)
-        lo, hi = to_sql(t.lo, env, agg_map), to_sql(t.hi, env, agg_map)
+        c = to_sql(t.expr, env)
+        lo, hi = to_sql(t.lo, env), to_sql(t.hi, env)
         return f"(({c} >= {lo}) AND ({c} <= {hi}))"
     raise BackendError(f"cannot lower term to SQL: {show(t)}")
 
@@ -263,30 +251,6 @@ def _agg_sql(monoid: str, e: str) -> str:
     if monoid not in _SQL_AGG:
         raise BackendError(f"unknown monoid {monoid!r}")
     return f"{_SQL_AGG[monoid]}({e})"
-
-
-def _collect_aggs(t, out: list) -> None:
-    """Find Agg nodes (not descending into nested comprehensions)."""
-    if isinstance(t, Agg):
-        out.append(t)
-        return
-    if isinstance(t, BinOp):
-        _collect_aggs(t.left, out)
-        _collect_aggs(t.right, out)
-    elif isinstance(t, UnOp):
-        _collect_aggs(t.expr, out)
-    elif isinstance(t, TupleT):
-        for x in t.items:
-            _collect_aggs(x, out)
-    elif isinstance(t, Call):
-        for x in t.args:
-            _collect_aggs(x, out)
-    elif isinstance(t, Proj):
-        _collect_aggs(t.expr, out)
-    elif isinstance(t, InRange):
-        _collect_aggs(t.expr, out)
-        _collect_aggs(t.lo, out)
-        _collect_aggs(t.hi, out)
 
 
 class _Query:
@@ -332,83 +296,14 @@ class _Query:
                     cat.dropTempView(view)
 
 
-# ---------------------------------------------------- python evaluation
-def py_eval(t, env: dict, bindings: Optional[dict] = None):
-    """Evaluate a generator-free term on the driver. ``Agg(m, e)`` over
-    the empty qualifier list is a reduction of a singleton bag: ``e``.
-    ``bindings`` supplies values for driver-resolved variables (e.g. a
-    constant-key outer lookup)."""
-    if isinstance(t, Var):
-        if bindings is not None and t.name in bindings:
-            return bindings[t.name]
-        raise BackendError(f"unbound variable {t.name} in driver evaluation")
-    if isinstance(t, Const):
-        return t.value
-    if isinstance(t, StateRef):
-        return env[t.name]
-    if isinstance(t, Agg):
-        return py_eval(t.expr, env, bindings)
-    if isinstance(t, BinOp):
-        a = py_eval(t.left, env, bindings)
-        b = py_eval(t.right, env, bindings)
-        return _PY_BIN[t.op](a, b)
-    if isinstance(t, UnOp):
-        v = py_eval(t.expr, env, bindings)
-        return -v if t.op == "-" else not v
-    if isinstance(t, TupleT):
-        return tuple(py_eval(x, env, bindings) for x in t.items)
-    if isinstance(t, Proj):
-        v = py_eval(t.expr, env, bindings)
-        if t.field.lstrip("_").isdigit():
-            return v[int(t.field.lstrip("_")) - 1]
-        return v[t.field]
-    if isinstance(t, Call):
-        return _PY_CALLS[t.fn](*[py_eval(a, env, bindings) for a in t.args])
-    if isinstance(t, InRange):
-        return (
-            py_eval(t.lo, env, bindings)
-            <= py_eval(t.expr, env, bindings)
-            <= py_eval(t.hi, env, bindings)
-        )
-    raise BackendError(f"cannot python-evaluate {show(t)}")
-
-
-def _py_argmin(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a[1] <= b[1] else b
-
-
-_PY_BIN = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "&&": lambda a, b: a and b,
-    "||": lambda a, b: a or b,
-    "min": min,
-    "max": max,
-    "argmin": _py_argmin,
-}
-_PY_CALLS = {
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "exp": math.exp,
-    "log": math.log,
-    "floor": math.floor,
-    "ceil": math.ceil,
-    "dist2": lambda p, c: (p[0] - c[0]) ** 2 + (p[1] - c[1]) ** 2,
-    "coalesce": lambda a, b: b if a is None else a,
-}
+def _lookup(spark: SparkSession, env: dict, array: str, key: tuple, default):
+    """A driver-side read of ``array[key]``, ``default`` if absent."""
+    lq = _Query(spark)
+    knames = [f"_k{j + 1}" for j in range(len(key))]
+    src = lq.scan(_array(env, array), knames + ["_v"])
+    where = " AND ".join(f"{_id(kn)} = {_lit(k)}" for kn, k in zip(knames, key))
+    hit = lq.run(f"SELECT `_v` FROM {src} WHERE {where}", f"a lookup in {array}").collect()
+    return py_value(hit[0]["_v"]) if hit else default
 
 
 # ------------------------------------------------- comprehension compile
@@ -434,196 +329,69 @@ class _Frontier:
         return items
 
 
-def compile_comp(comp: Comp, env: dict, qb: _Query):
-    """Lower a comprehension to a relation (row per bag element) whose
-    columns are the variables the head needs, or evaluate it on the
-    driver when it has no generators.
+def _source_sql(src, env: dict, qb: _Query, bindings: dict) -> str:
+    if isinstance(src, Scan):
+        return qb.scan(_array(env, src.array), list(src.names))
+    lo, hi = (int(compile_term(x, env)(bindings)) for x in (src.lo, src.hi))
+    return f"range({_lit(lo)}, {_lit(hi + 1)}) AS {qb.alias()}({_id(src.name)})"
 
-    Returns ``("rel", frontier, head_term, agg_map)``, ``("scalar",
-    value)`` or ``("scalar-empty", None)``. The caller shapes the head.
-    """
-    fr: Optional[_Frontier] = None
-    pending: list = []  # unapplied conditions
-    agg_map: dict = {}
-    driver: dict = {}  # bindings resolved on the driver (no generators yet)
 
-    # Hoist variable-bearing, aggregation-free conditions so they are
-    # visible to equi-join detection *before* the generators they
-    # constrain (rule 11c emits index equalities after the array scan;
-    # without hoisting a two-array access would compile to a cross join
-    # plus filter). Pure predicates commute with generators, so this is
-    # semantics-preserving; key-pattern names rebound by a group-by are
-    # bound to the same values pre-group, so key filters commute too.
-    def _hoistable(q):
-        if not isinstance(q, Cond) or not free_vars(q.expr):
-            return False
-        aggs: list = []
-        _collect_aggs(q.expr, aggs)
-        return not aggs
+def _agg_items(aggs: tuple, env: dict, total: bool) -> list:
+    """Select items of ``(name, monoid, expr)`` reductions. A total
+    aggregation is coalesced with the monoid identity so an empty input
+    bag aggregates to the identity instead of NULL."""
+    items = []
+    for n, m, e in aggs:
+        c = _agg_sql(m, to_sql(e, env))
+        if total and IDENTITY.get(m) is not None:
+            c = f"coalesce({c}, {_lit(IDENTITY[m])})"
+        items.append(f"{c} AS {_id(n)}")
+    return items
 
-    pending.extend(q.expr for q in comp.quals if _hoistable(q))
 
-    def flush_conds():
-        bound = set(fr.cols)
-        ready = [c for c in pending if free_vars(c) <= bound]
-        if ready:
-            pending[:] = [c for c in pending if not free_vars(c) <= bound]
-            where = " AND ".join(to_sql(c, env, agg_map) for c in ready)
+def _relation(comp: Comp, env: dict, qb: _Query):
+    """Lower a comprehension (see ``plan``) to ``(frontier, head)``,
+    a relation with a row per bag element whose columns are the
+    variables the head needs; ``(None, value)`` when it has no
+    generators; None for an empty bag. The caller shapes the head."""
+    p = plan(comp)
+    b = run_driver(p, env, lambda a, k, d: _lookup(qb.spark, env, a, k, d))
+    if b is None:
+        return None
+    if not p.steps:
+        return None, compile_term(p.head, env)(b)
+    fr = _Frontier(_source_sql(p.steps[0], env, qb, b), list(p.steps[0].names))
+    for st in p.steps[1:]:
+        if isinstance(st, Join):
+            g = _source_sql(st.source, env, qb, b)
+            fr.cols = fr.cols + list(st.source.names)
+            on = " AND ".join(to_sql(c, env) for c in st.conds)
+            fr.select(qb, [_id(c) for c in fr.cols], f" JOIN {g} ON {on}" if on else f" CROSS JOIN {g}")
+        elif isinstance(st, Filter):
+            where = " AND ".join(to_sql(c, env) for c in st.conds)
             fr.select(qb, [_id(c) for c in fr.cols], f" WHERE {where}")
-
-    quals = list(comp.quals)
-    i = 0
-    grouped = False
-    while i < len(quals):
-        q = quals[i]
-        i += 1
-        if isinstance(q, Cond):
-            if _hoistable(q):
-                continue  # already hoisted into the pending set
-            if fr is None:
-                # generator-free condition: evaluate on the driver
-                if not py_eval(q.expr, env, driver):
-                    return ("scalar-empty", None)
-            else:
-                pending.append(q.expr)
-                flush_conds()
-            continue
-        if isinstance(q, LetQ):
-            names = pat_vars(q.pat)
-            if fr is None:
-                v = py_eval(q.expr, env, driver)
-                if len(names) == 1:
-                    driver[names[0]] = v
-                else:
-                    driver.update(zip(names, v))
-                continue
-            e = to_sql(q.expr, env, agg_map)
-            if len(names) == 1:
-                fr.select(qb, fr.with_cols({names[0]: e}))
+        elif isinstance(st, Let):
+            e = to_sql(st.expr, env)
+            if len(st.names) == 1:
+                fr.select(qb, fr.with_cols({st.names[0]: e}))
             else:
                 fr.select(qb, fr.with_cols(
-                    {n: f"{e}.{_id(f'_{j + 1}')}" for j, n in enumerate(names)}
+                    {n: f"{e}.{_id(f'_{j + 1}')}" for j, n in enumerate(st.names)}
                 ))
-            flush_conds()
-            continue
-        if isinstance(q, Generator):
-            names = pat_vars(q.pat)
-            if isinstance(q.source, StateRef):
-                g = qb.scan(_array(env, q.source.name), names)
-            elif isinstance(q.source, RangeT):
-                lo = int(py_eval(q.source.lo, env))
-                hi = int(py_eval(q.source.hi, env))
-                g = f"range({_lit(lo)}, {_lit(hi + 1)}) AS {qb.alias()}({_id(names[0])})"
-            else:
-                raise BackendError(f"unnormalized generator source {show(q.source)}")
-            if fr is None:
-                fr = _Frontier(g, names)
-            else:
-                new_vars = set(names)
-                both = set(fr.cols) | new_vars
-                join_conds, still = [], []
-                for c in pending:
-                    fv = free_vars(c)
-                    if fv <= both and (fv & new_vars):
-                        join_conds.append(c)
-                    else:
-                        still.append(c)
-                pending[:] = still
-                fr.cols = fr.cols + names
-                if join_conds:
-                    on = " AND ".join(to_sql(c, env, agg_map) for c in join_conds)
-                    join = f" JOIN {g} ON {on}"
-                else:
-                    join = f" CROSS JOIN {g}"
-                fr.select(qb, [_id(c) for c in fr.cols], join)
-            flush_conds()
-            continue
-        if isinstance(q, GroupByQ):
-            key_items = list(q.key.items) if isinstance(q.key, TupleT) else [q.key]
-            key_names = pat_vars(q.pat)
-            if fr is None:
-                # generator-free group-by: the bag is a singleton, so
-                # the group key is just the (constant) key value and
-                # every ⊕/e reduces to e (py_eval's Agg rule)
-                for n, k in zip(key_names, key_items):
-                    driver[n] = py_eval(k, env, driver)
-                continue
-            if len(key_items) != len(key_names):
-                raise BackendError("group-by pattern/key arity mismatch")
-            fr.select(qb, fr.with_cols(
-                {n: to_sql(k, env, agg_map) for n, k in zip(key_names, key_items)}
-            ))
-            # aggregations needed downstream
-            aggs: list = []
-            _collect_aggs(comp.head, aggs)
-            for r in quals[i:]:
-                if isinstance(r, (Cond, LetQ)):
-                    _collect_aggs(r.expr, aggs)
-            agg_items = _plan_aggs(aggs, agg_map, env, total=False)
-            if not agg_items:
-                raise BackendError("group-by without any aggregation")
-            keys = ", ".join(map(_id, key_names))
-            fr.select(qb, [keys] + agg_items, f" GROUP BY {keys}")
-            fr.cols = key_names + list(agg_map.values())
-            grouped = True
-            flush_conds()
-            continue
-        if isinstance(q, OuterLookup):
-            key_items = list(q.key.items) if isinstance(q.key, TupleT) else [q.key]
-            default = q.default.value if isinstance(q.default, Const) else None
-            if fr is None:
-                # driver-side lookup by a constant key
-                lq = _Query(qb.spark)
-                knames = [f"_k{j + 1}" for j in range(len(key_items))]
-                src = lq.scan(_array(env, q.array), knames + ["_v"])
-                where = " AND ".join(
-                    f"{_id(kn)} = {_lit(py_eval(k, env, driver))}"
-                    for kn, k in zip(knames, key_items)
-                )
-                hit = lq.run(f"SELECT `_v` FROM {src} WHERE {where}", show_q(q)).collect()
-                driver[q.var] = py_value(hit[0]["_v"]) if hit else default
-                continue
+        elif isinstance(st, GroupBy):
+            fr.select(qb, fr.with_cols({n: to_sql(k, env) for n, k in zip(st.names, st.keys)}))
+            keys = ", ".join(map(_id, st.names))
+            fr.select(qb, [keys] + _agg_items(st.aggs, env, total=False), f" GROUP BY {keys}")
+            fr.cols = list(st.names) + [n for n, _, _ in st.aggs]
+        elif isinstance(st, Total):
+            # rule 16 removed a constant-key group-by
+            fr.select(qb, _agg_items(st.aggs, env, total=True))
+            fr.cols = [n for n, _, _ in st.aggs]
+        else:
             # rule 15a's lookup of the pre-update value is lowered with
             # its merge, by _update_sql
-            raise BackendError(f"outer lookup outside an array update: {show_q(q)}")
-        raise BackendError(f"unknown qualifier {q!r}")
-
-    if pending:
-        raise BackendError(
-            "conditions with unbound variables: "
-            + "; ".join(show(c) for c in pending)
-        )
-
-    if fr is None:
-        return ("scalar", py_eval(comp.head, env, driver))
-
-    if not grouped:
-        aggs: list = []
-        _collect_aggs(comp.head, aggs)
-        if aggs:
-            # total aggregation (rule 16 removed a constant-key group-by)
-            fr.select(qb, _plan_aggs(aggs, agg_map, env, total=True))
-            fr.cols = list(agg_map.values())
-
-    return ("rel", fr, comp.head, agg_map)
-
-
-def _plan_aggs(aggs: list, agg_map: dict, env: dict, total: bool) -> list:
-    """Name each new aggregation in ``agg_map``; return its select items.
-    A total aggregation is coalesced with the monoid identity so an
-    empty input bag aggregates to the identity instead of NULL."""
-    items = []
-    for a in aggs:
-        if id(a) in agg_map:
-            continue
-        nm = f"_agg{len(agg_map)}"
-        agg_map[id(a)] = nm
-        c = _agg_sql(a.monoid, to_sql(a.expr, env, None))
-        ident = _IDENTITY.get(a.monoid)
-        if total and isinstance(ident, Const) and ident.value is not None:
-            c = f"coalesce({c}, {_lit(ident.value)})"
-        items.append(f"{c} AS {_id(nm)}")
-    return items
+            raise BackendError(f"outer lookup outside an array update: {st.var}")
+    return fr, p.head
 
 
 # --------------------------------------------------------- bag results
@@ -658,23 +426,22 @@ def _bag_sql(term, env, qb: _Query, ndims: int):
         return old if new is None else new  # empty bag: V ⊲ ∅ = V
     if not isinstance(term, Comp):
         raise BackendError(f"cannot evaluate bag term {show(term)}")
-    res = compile_comp(term, env, qb)
-    if res[0] == "scalar-empty":
+    res = _relation(term, env, qb)
+    if res is None:
         return None
-    if res[0] == "scalar":
+    fr, head = res
+    if fr is None:
         # generator-free comprehension: a singleton key/value row
-        v = res[1]
-        if not isinstance(v, tuple) or len(v) != ndims + 1:
+        if not isinstance(head, tuple) or len(head) != ndims + 1:
             raise BackendError("array assignment produced a scalar")
-        items = [f"{_lit(x)} AS {_id(c)}" for x, c in zip(v, _key_cols(ndims))]
+        items = [f"{_lit(x)} AS {_id(c)}" for x, c in zip(head, _key_cols(ndims))]
         return f"SELECT {', '.join(items)} FROM range(1)"
-    _, fr, head, agg_map = res
     if not isinstance(head, TupleT) or len(head.items) != ndims + 1:
         raise BackendError(
             f"array head arity mismatch: {show(head)} for {ndims} dims"
         )
     items = [
-        f"{to_sql(x, env, agg_map)} AS {_id(c)}"
+        f"{to_sql(x, env)} AS {_id(c)}"
         for x, c in zip(head.items, _key_cols(ndims))
     ]
     return f"SELECT {', '.join(items)} FROM {fr.src}"
@@ -752,16 +519,17 @@ def _update_sql(old: DataFrame, comp: Comp, env, qb: _Query, ndims: int):
     misses: ``w`` is ``d`` and there is no join. None when the bag is
     empty."""
     look = comp.quals[-1]
-    res = compile_comp(Comp(comp.head, comp.quals[:-1]), env, qb)
-    if res[0] == "scalar-empty":
+    res = _relation(Comp(comp.head, comp.quals[:-1]), env, qb)
+    if res is None:
         return None
-    _, fr, head, agg_map = res
-    exprs = [to_sql(x, env, agg_map) for x in head.items]
-    default = _lit(look.default.value) if isinstance(look.default, Const) else "NULL"
-    if look.default in (_IDENTITY["min"], _IDENTITY["max"]):
+    fr, head = res
+    exprs = [to_sql(x, env) for x in head.items]
+    default = look.default.value if isinstance(look.default, Const) else None
+    if default in (IDENTITY["min"], IDENTITY["max"]):
         # least/greatest skip NULLs, so a missed lookup needs no ±inf
         # identity, a double that would turn longs into doubles
-        default = "NULL"
+        default = None
+    default = _lit(default)
     if old in _FRESH:
         types = _FRESH[old]
         fr.select(qb, fr.with_cols({look.var: f"coalesce(CAST(NULL AS {types[-1]}), {default})"}))
@@ -789,13 +557,13 @@ def eval_scalar(term, env, spark):
     (matching the Figure-4 conditional semantics)."""
     if isinstance(term, Comp):
         qb = _Query(spark)
-        res = compile_comp(term, env, qb)
-        if res[0] == "scalar":
-            return True, res[1]
-        if res[0] == "scalar-empty":
+        res = _relation(term, env, qb)
+        if res is None:
             return False, None
-        _, fr, head, agg_map = res
-        sql = f"SELECT {to_sql(head, env, agg_map)} AS `_v` FROM {fr.src}"
+        fr, head = res
+        if fr is None:
+            return True, head
+        sql = f"SELECT {to_sql(head, env)} AS `_v` FROM {fr.src}"
         # not limit(2): it scans partitions incrementally and launches
         # a second job whenever the first partition holds no row
         out = qb.run(sql, show(term)).collect()
@@ -806,7 +574,7 @@ def eval_scalar(term, env, spark):
                 f"scalar assignment from a bag with more than one element: {show(term)}"
             )
         return True, py_value(out[0]["_v"])
-    return True, py_eval(term, env)
+    return True, compile_term(term, env)({})
 
 
 # ------------------------------------------------------------ execution

@@ -16,9 +16,8 @@ would be ~10× slower, which would distort the Table 2 comparison).
 """
 from __future__ import annotations
 
-import math
-
 from . import ast as A
+from .monoids import BIN, CALLS, IDENTITY
 
 
 class _MissingType:
@@ -29,68 +28,6 @@ class _MissingType:
 
 
 MISSING = _MissingType()
-
-_IDENTITY = {
-    "+": 0,
-    "*": 1,
-    "min": float("inf"),
-    "max": float("-inf"),
-    "&&": True,
-    "||": False,
-    "argmin": None,
-}
-
-
-def _argmin(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a[1] <= b[1] else b
-
-
-def _plus(a, b):
-    """``+`` extended componentwise to tuples (the paper's Avg-style
-    monoids are componentwise sums); the scalar identity 0 acts as the
-    identity for tuples as well."""
-    if isinstance(a, tuple) and isinstance(b, tuple):
-        return tuple(x + y for x, y in zip(a, b))
-    if isinstance(b, tuple):
-        return b
-    if isinstance(a, tuple):
-        return a
-    return a + b
-
-
-_BIN = {
-    "+": _plus,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "&&": lambda a, b: a and b,
-    "||": lambda a, b: a or b,
-    "min": min,
-    "max": max,
-    "argmin": _argmin,
-}
-
-_CALLS = {
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "exp": math.exp,
-    "log": math.log,
-    "floor": math.floor,
-    "ceil": math.ceil,
-    "dist2": lambda p, c: (p[0] - c[0]) ** 2 + (p[1] - c[1]) ** 2,
-}
-
 
 class InterpError(Exception):
     pass
@@ -105,7 +42,7 @@ def _compile_expr(e):
         n = e.name
         return lambda sig: sig[n]
     if isinstance(e, A.EBin):
-        f, g, op = _compile_expr(e.left), _compile_expr(e.right), _BIN[e.op]
+        f, g, op = _compile_expr(e.left), _compile_expr(e.right), BIN[e.op]
 
         def fbin(sig):
             a = f(sig)
@@ -162,7 +99,7 @@ def _compile_expr(e):
         return ftup
     if isinstance(e, A.ECall):
         fs = [_compile_expr(x) for x in e.args]
-        fn = _CALLS[e.fn]
+        fn = CALLS[e.fn]
 
         def fcall(sig):
             vs = [f(sig) for f in fs]
@@ -226,8 +163,8 @@ def _compile_stmt(s):
         return fassigna
     if isinstance(s, A.SIncr):
         f = _compile_expr(s.expr)
-        op = _BIN[s.monoid]
-        ident = _IDENTITY[s.monoid]
+        op = BIN[s.monoid]
+        ident = IDENTITY[s.monoid]
         if isinstance(s.dest, A.DVar):
             n = s.dest.name
 

@@ -38,31 +38,18 @@ from .comprehension import (
     pat_vars,
     subst,
 )
+from .monoids import BIN
 
-_FOLD = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b if isinstance(a, float) or isinstance(b, float) else a // b,
-    "%": lambda a, b: a % b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "&&": lambda a, b: a and b,
-    "||": lambda a, b: a or b,
-}
+# the operators folded on constants: all but the monoids min, max, argmin
+_FOLDED = BIN.keys() - {"min", "max", "argmin"}
 
 
 def _fold(t):
     """Fold constants in a single term node (children already folded)."""
     if isinstance(t, BinOp) and isinstance(t.left, Const) and isinstance(t.right, Const):
-        fn = _FOLD.get(t.op)
-        if fn is not None and t.left.value is not None and t.right.value is not None:
+        if t.op in _FOLDED and t.left.value is not None and t.right.value is not None:
             try:
-                return Const(fn(t.left.value, t.right.value))
+                return Const(BIN[t.op](t.left.value, t.right.value))
             except ZeroDivisionError:
                 return t
     if isinstance(t, UnOp) and isinstance(t.expr, Const):

@@ -49,6 +49,7 @@ from .comprehension import (
     pat_vars,
     subst,
 )
+from .monoids import IDENTITY
 from .normalize import norm_term
 
 
@@ -275,17 +276,6 @@ def _map_qual_aggs(q):
     return q
 
 
-# identity constants for tuple-monoid expansion
-_SCALAR_IDENT = {
-    "+": Const(0),
-    "*": Const(1),
-    "min": Const(float("inf")),
-    "max": Const(float("-inf")),
-    "&&": Const(True),
-    "||": Const(False),
-}
-
-
 def _expand_tuple_monoids(c: Comp) -> Comp:
     """Rewrite tuple-valued reductions into per-component scalar ones.
 
@@ -298,7 +288,7 @@ def _expand_tuple_monoids(c: Comp) -> Comp:
     tuple-typed and is left alone."""
 
     def rewrite(t, lookups):
-        if isinstance(t, BinOp) and t.op in _SCALAR_IDENT:
+        if isinstance(t, BinOp) and t.op in IDENTITY and t.op != "argmin":
             rhs = t.right
             items = None
             if isinstance(rhs, Agg) and rhs.monoid == t.op and isinstance(rhs.expr, TupleT):
@@ -307,7 +297,7 @@ def _expand_tuple_monoids(c: Comp) -> Comp:
                 items = list(rhs.items)
             if items is not None:
                 w = t.left
-                ident = _SCALAR_IDENT[t.op]
+                ident = Const(IDENTITY[t.op])
                 if isinstance(w, Var):
                     lookups.add(w.name)
                 return TupleT(tuple(

@@ -2,450 +2,132 @@
 
 The paper's Table 2 compares the *same* DIABLO-translated program run
 on Scala parallel collections versus plain sequential lists. The
-analogue here: the same target code that the Spark backend executes is
-evaluated with plain Python collections — arrays are dicts, generators
-are loops, equality conditions become hash joins, group-bys are dict
-folds. The literal loop interpreter (``interp.py``) stays the ground
-truth; this backend is the sequential *bulk* evaluation.
+analogue here: the same target code that the Spark backend executes,
+lowered by the same ``plan.plan``, is evaluated with plain Python
+collections — arrays are dicts, rows are dicts of bound variables, joins
+are hash joins on their equalities, group-bys are dict folds. The
+literal loop interpreter (``interp.py``) stays the ground truth; this
+backend is the sequential *bulk* evaluation.
 """
 from __future__ import annotations
 
-import math
-
 from . import ast as A
-from .comprehension import (
-    Agg,
-    BinOp,
-    Call,
-    Comp,
-    Cond,
-    Const,
-    Generator,
-    GroupByQ,
-    InRange,
-    LetQ,
-    Merge,
-    OuterLookup,
-    Proj,
-    PTuple,
-    PVar,
-    RangeT,
-    StateRef,
-    TupleT,
-    UnOp,
-    Var,
-    free_vars,
-    pat_vars,
-    show,
+from .comprehension import Comp, Merge, StateRef, show
+from .monoids import BIN, IDENTITY
+from .plan import (
+    Filter,
+    GroupBy,
+    Join,
+    Let,
+    Lookup,
+    Scan,
+    Total,
+    bind,
+    compile_term,
+    plan,
+    run_driver,
 )
 from .translate import TAssign, TInit, TWhile
-
-_IDENT = {
-    "+": 0,
-    "*": 1,
-    "min": float("inf"),
-    "max": float("-inf"),
-    "&&": True,
-    "||": False,
-    "argmin": None,
-}
-
-
-def _argmin(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a[1] <= b[1] else b
-
-
-_BIN = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "%": lambda a, b: a % b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "&&": lambda a, b: a and b,
-    "||": lambda a, b: a or b,
-    "min": min,
-    "max": max,
-    "argmin": _argmin,
-}
-
-_CALLS = {
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "exp": math.exp,
-    "log": math.log,
-    "floor": math.floor,
-    "ceil": math.ceil,
-    "dist2": lambda p, c: (p[0] - c[0]) ** 2 + (p[1] - c[1]) ** 2,
-    "coalesce": lambda a, b: b if a is None else a,
-}
 
 
 class SeqError(Exception):
     pass
 
 
-def _compile_term(t, env):
-    """Compile a term to ``fn(row_dict) -> value`` (env is closed over;
-    ``Agg`` nodes must have been replaced by Vars before compiling)."""
-    if isinstance(t, Const):
-        v = t.value
-        return lambda r: v
-    if isinstance(t, Var):
-        n = t.name
-        return lambda r: r[n]
-    if isinstance(t, StateRef):
-        n = t.name
-        return lambda r: env[n]
-    if isinstance(t, BinOp):
-        f, g, op = _compile_term(t.left, env), _compile_term(t.right, env), _BIN[t.op]
-        return lambda r: op(f(r), g(r))
-    if isinstance(t, UnOp):
-        f = _compile_term(t.expr, env)
-        return (lambda r: -f(r)) if t.op == "-" else (lambda r: not f(r))
-    if isinstance(t, TupleT):
-        fs = [_compile_term(x, env) for x in t.items]
-        return lambda r: tuple(f(r) for f in fs)
-    if isinstance(t, Proj):
-        f = _compile_term(t.expr, env)
-        fld = t.field
-        if fld.lstrip("_").isdigit():
-            i = int(fld.lstrip("_")) - 1
-            return lambda r: (v[i] if (v := f(r)) is not None else None)
-        return lambda r: (v[fld] if (v := f(r)) is not None else None)
-    if isinstance(t, Call):
-        fs = [_compile_term(x, env) for x in t.args]
-        fn = _CALLS[t.fn]
-        return lambda r: fn(*[f(r) for f in fs])
-    if isinstance(t, InRange):
-        f = _compile_term(t.expr, env)
-        lo = _compile_term(t.lo, env)
-        hi = _compile_term(t.hi, env)
-        return lambda r: lo(r) <= f(r) <= hi(r)
-    raise SeqError(f"cannot compile term {show(t)}")
-
-
 def _array_rows(arr: dict, nvars: int):
     """Yield flat tuples (k1..kn, v) from a dict array."""
     if nvars == 2:
-        for k, v in arr.items():
-            yield (k, v)
+        yield from arr.items()
     else:
         for k, v in arr.items():
             yield (*k, v)
 
 
-def _split_join_cond(e, old: set, new: set):
-    """For ``a == b``: return (old_side, new_side) or None."""
-    if not (isinstance(e, BinOp) and e.op == "=="):
-        return None
-    fa, fb = free_vars(e.left), free_vars(e.right)
-    if fa <= old and fb <= new:
-        return e.left, e.right
-    if fb <= old and fa <= new:
-        return e.right, e.left
-    return None
+def _get(arr: dict, key: tuple, default):
+    return arr.get(key[0] if len(key) == 1 else key, default)
+
+
+def _source(src, env, b) -> list:
+    if isinstance(src, Scan):
+        return [dict(zip(src.names, t)) for t in _array_rows(env[src.array], len(src.names))]
+    lo, hi = (int(compile_term(x, env)(b)) for x in (src.lo, src.hi))
+    return [{src.name: v} for v in range(lo, hi + 1)]
+
+
+def _fold(aggs, env):
+    """The accumulator functions of ``(name, monoid, expr)`` reductions."""
+    return [(n, BIN[m], IDENTITY[m], compile_term(e, env)) for n, m, e in aggs]
 
 
 def eval_comp(comp: Comp, env: dict):
-    """Evaluate a comprehension sequentially.
-
-    Returns ("rows", rows, head) for bag results (rows = list of dicts)
-    or ("scalar", value) / ("empty", None) for generator-free cases.
-    """
-    rows = None  # list of dicts
-    bound: set = set()
-    pending: list = []
-    driver: dict = {}  # bindings resolved before any generator
-
-    def flush():
-        nonlocal rows
-        still = []
-        for c in pending:
-            if free_vars(c) <= bound:
-                f = _compile_term(c, env)
+    """Evaluate a comprehension sequentially: its rows (dicts) and the
+    head to evaluate over them, or None for an empty bag. A
+    generator-free comprehension is one row of driver bindings."""
+    p = plan(comp)
+    b = run_driver(p, env, lambda a, k, d: _get(env[a], k, d))
+    if b is None:
+        return None
+    if not p.steps:
+        return [b], p.head
+    rows = _source(p.steps[0], env, b)
+    for st in p.steps[1:]:
+        if isinstance(st, Join):
+            new = _source(st.source, env, b)
+            fs = [compile_term(c, env) for c in st.residual]
+            if st.keys:
+                # hash join on the equalities, the rest filter the pairs
+                okeys = [compile_term(k, env) for k, _ in st.keys]
+                nkeys = [compile_term(k, env) for _, k in st.keys]
+                index: dict = {}
+                for m in new:
+                    index.setdefault(tuple(f(m) for f in nkeys), []).append(m)
+                pairs = ((r, m) for r in rows for m in index.get(tuple(f(r) for f in okeys), ()))
+            else:
+                pairs = ((r, m) for r in rows for m in new)
+            out = []
+            for r, m in pairs:
+                rm = {**r, **m}
+                if all(f(rm) for f in fs):
+                    out.append(rm)
+            rows = out
+        elif isinstance(st, Filter):
+            for c in st.conds:
+                f = compile_term(c, env)
                 rows = [r for r in rows if f(r)]
-            else:
-                still.append(c)
-        pending[:] = still
-
-    # hoist variable-bearing, aggregation-free conditions for join
-    # detection (see backend.compile_comp for the rationale)
-    def _hoistable(q):
-        if not isinstance(q, Cond) or not free_vars(q.expr):
-            return False
-        aggs: list = []
-        _collect_aggs(q.expr, aggs)
-        return not aggs
-
-    pending.extend(q.expr for q in comp.quals if _hoistable(q))
-
-    quals = list(comp.quals)
-    i = 0
-    grouped = False
-    agg_repl: dict = {}
-    head = comp.head
-    while i < len(quals):
-        q = quals[i]
-        i += 1
-        if isinstance(q, Cond):
-            if _hoistable(q):
-                continue  # already hoisted into the pending set
-            if rows is None:
-                f = _compile_term(q.expr, env)
-                if not f(driver):
-                    return ("empty", None)
-            else:
-                pending.append(q.expr)
-                flush()
-            continue
-        if isinstance(q, LetQ):
-            names = pat_vars(q.pat)
-            f = _compile_term(q.expr, env)
-            if rows is None:
-                v = f(driver)
-                if len(names) == 1:
-                    driver[names[0]] = v
-                else:
-                    driver.update(zip(names, v))
-                continue
-            if len(names) == 1:
-                n = names[0]
-                for r in rows:
-                    r[n] = f(r)
-            else:
-                for r in rows:
-                    v = f(r)
-                    for j, n in enumerate(names):
-                        r[n] = v[j]
-            bound |= set(names)
-            flush()
-            continue
-        if isinstance(q, Generator):
-            names = pat_vars(q.pat)
-            if isinstance(q.source, StateRef):
-                arr = env[q.source.name]
-                new_rows = [
-                    dict(zip(names, tup)) for tup in _array_rows(arr, len(names))
-                ]
-            elif isinstance(q.source, RangeT):
-                lo = _compile_term(q.source.lo, env)({})
-                hi = _compile_term(q.source.hi, env)({})
-                n = names[0]
-                new_rows = [{n: v} for v in range(int(lo), int(hi) + 1)]
-            else:
-                raise SeqError(f"bad generator source {show(q.source)}")
-            new = set(names)
-            if rows is None:
-                rows, bound = new_rows, new
-            else:
-                both = bound | new
-                join_conds, still = [], []
-                for c in pending:
-                    fv = free_vars(c)
-                    if fv <= both and (fv & new):
-                        join_conds.append(c)
-                    else:
-                        still.append(c)
-                pending[:] = still
-                # hash-join on the equality conditions; any remaining
-                # join predicates (e.g. inRange) become post-join filters
-                splits, residual = [], []
-                for c in join_conds:
-                    sp = _split_join_cond(c, bound, new)
-                    if sp is not None:
-                        splits.append(sp)
-                    else:
-                        residual.append(c)
-                if splits:
-                    okeys = [_compile_term(sp[0], env) for sp in splits]
-                    nkeys = [_compile_term(sp[1], env) for sp in splits]
-                    fs = [_compile_term(c, env) for c in residual]
-                    index: dict = {}
-                    for r in new_rows:
-                        index.setdefault(tuple(f(r) for f in nkeys), []).append(r)
-                    out = []
-                    for r in rows:
-                        for m in index.get(tuple(f(r) for f in okeys), ()):
-                            rm = {**r, **m}
-                            if all(f(rm) for f in fs):
-                                out.append(rm)
-                    rows = out
-                else:
-                    fs = [_compile_term(c, env) for c in join_conds]
-                    out = []
-                    for r in rows:
-                        for m in new_rows:
-                            rm = {**r, **m}
-                            if all(f(rm) for f in fs):
-                                out.append(rm)
-                    rows = out
-                bound = both
-            flush()
-            continue
-        if isinstance(q, GroupByQ):
-            key_items = list(q.key.items) if isinstance(q.key, TupleT) else [q.key]
-            key_names = pat_vars(q.pat)
-            kfs = [_compile_term(k, env) for k in key_items]
-            if rows is None:
-                # generator-free singleton bag: bind the key, and every
-                # reduction over it is the identity map
-                for n, f in zip(key_names, kfs):
-                    driver[n] = f(driver)
-                aggs = []
-                _collect_aggs(head, aggs)
-                for a in aggs:
-                    agg_repl[id(a)] = None
-                head = _sub_aggs(head, {"*": None})
-                continue
-            aggs: list = []
-            _collect_aggs(head, aggs)
-            for r in quals[i:]:
-                if isinstance(r, (Cond, LetQ)):
-                    _collect_aggs(r.expr, aggs)
-                elif isinstance(r, OuterLookup):
-                    _collect_aggs(r.key, aggs)
-            plans = []
-            for a in aggs:
-                if id(a) in agg_repl:
-                    continue
-                nm = f"_agg{len(agg_repl)}"
-                agg_repl[id(a)] = nm
-                plans.append((nm, _BIN[a.monoid], _IDENT[a.monoid],
-                              _compile_term(a.expr, env)))
+        elif isinstance(st, Let):
+            f = compile_term(st.expr, env)
+            for r in rows:
+                bind(r, st.names, f(r))
+        elif isinstance(st, GroupBy):
+            kfs = [compile_term(k, env) for k in st.keys]
+            folds = _fold(st.aggs, env)
             groups: dict = {}
             for r in rows:
                 k = tuple(f(r) for f in kfs)
                 acc = groups.get(k)
                 if acc is None:
-                    acc = [ident for (_, _, ident, _) in plans]
-                    groups[k] = acc
-                for j, (_, op, _, f) in enumerate(plans):
+                    acc = groups[k] = [ident for _, _, ident, _ in folds]
+                for j, (_, op, _, f) in enumerate(folds):
                     acc[j] = op(acc[j], f(r))
-            rows = []
-            for k, acc in groups.items():
-                r = dict(zip(key_names, k))
-                for j, (nm, _, _, _) in enumerate(plans):
-                    r[nm] = acc[j]
-                rows.append(r)
-            bound = set(key_names) | {nm for (nm, _, _, _) in plans}
-            head = _sub_aggs(head, agg_repl)
-            quals[i:] = [_sub_aggs_qual(r, agg_repl) for r in quals[i:]]
-            grouped = True
-            flush()
-            continue
-        if isinstance(q, OuterLookup):
-            arr = env[q.array]
-            key_items = list(q.key.items) if isinstance(q.key, TupleT) else [q.key]
-            kfs = [_compile_term(k, env) for k in key_items]
-            default = q.default.value if isinstance(q.default, Const) else None
-            single = len(key_items) == 1
-            n = q.var
-            if rows is None:
-                k = kfs[0](driver) if single else tuple(f(driver) for f in kfs)
-                driver[n] = arr.get(k, default)
-                continue
+            rows = [
+                {**dict(zip(st.names, k)), **{n: a for (n, _, _, _), a in zip(folds, acc)}}
+                for k, acc in groups.items()
+            ]
+        elif isinstance(st, Lookup):
+            arr = env[st.array]
+            kfs = [compile_term(k, env) for k in st.key]
             for r in rows:
-                k = kfs[0](r) if single else tuple(f(r) for f in kfs)
-                r[n] = arr.get(k, default)
-            bound.add(n)
-            flush()
-            continue
-        raise SeqError(f"unknown qualifier {q!r}")
-
-    if pending:
-        raise SeqError("unbound conditions: " + "; ".join(show(c) for c in pending))
-
-    if rows is None:
-        return ("scalar", _compile_term(_sub_aggs(head, {"*": None}), env)(driver))
-
-    if not grouped:
-        aggs: list = []
-        _collect_aggs(head, aggs)
-        if aggs:
-            accs = {}
-            plans = []
-            for a in aggs:
-                if id(a) in agg_repl:
-                    continue
-                nm = f"_agg{len(agg_repl)}"
-                agg_repl[id(a)] = nm
-                plans.append((nm, _BIN[a.monoid], _compile_term(a.expr, env)))
-                accs[nm] = _IDENT[a.monoid]
+                r[st.var] = _get(arr, tuple(f(r) for f in kfs), st.default)
+        elif isinstance(st, Total):
+            folds = _fold(st.aggs, env)
+            acc = {n: ident for n, _, ident, _ in folds}
             for r in rows:
-                for nm, op, f in plans:
-                    accs[nm] = op(accs[nm], f(r))
-            head = _sub_aggs(head, agg_repl)
-            rows = [accs]
-
-    return ("rows", rows, head)
-
-
-def _collect_aggs(t, out):
-    if isinstance(t, Agg):
-        out.append(t)
-        return
-    if isinstance(t, BinOp):
-        _collect_aggs(t.left, out)
-        _collect_aggs(t.right, out)
-    elif isinstance(t, UnOp):
-        _collect_aggs(t.expr, out)
-    elif isinstance(t, TupleT):
-        for x in t.items:
-            _collect_aggs(x, out)
-    elif isinstance(t, Call):
-        for x in t.args:
-            _collect_aggs(x, out)
-    elif isinstance(t, Proj):
-        _collect_aggs(t.expr, out)
-    elif isinstance(t, InRange):
-        _collect_aggs(t.expr, out)
-        _collect_aggs(t.lo, out)
-        _collect_aggs(t.hi, out)
-
-
-def _sub_aggs(t, repl):
-    """Replace Agg nodes by their accumulator Vars; with the sentinel
-    mapping {"*": None} an Agg over a singleton bag reduces to its
-    expression (generator-free scalar case)."""
-    if isinstance(t, Agg):
-        if repl.get("*", "") is None:
-            return _sub_aggs(t.expr, repl)
-        return Var(repl[id(t)])
-    if isinstance(t, BinOp):
-        return BinOp(t.op, _sub_aggs(t.left, repl), _sub_aggs(t.right, repl))
-    if isinstance(t, UnOp):
-        return UnOp(t.op, _sub_aggs(t.expr, repl))
-    if isinstance(t, TupleT):
-        return TupleT(tuple(_sub_aggs(x, repl) for x in t.items))
-    if isinstance(t, Call):
-        return Call(t.fn, tuple(_sub_aggs(x, repl) for x in t.args))
-    if isinstance(t, Proj):
-        return Proj(_sub_aggs(t.expr, repl), t.field)
-    if isinstance(t, InRange):
-        return InRange(
-            _sub_aggs(t.expr, repl), _sub_aggs(t.lo, repl), _sub_aggs(t.hi, repl)
-        )
-    return t
-
-
-def _sub_aggs_qual(q, repl):
-    if isinstance(q, Cond):
-        return Cond(_sub_aggs(q.expr, repl))
-    if isinstance(q, LetQ):
-        return LetQ(q.pat, _sub_aggs(q.expr, repl))
-    if isinstance(q, OuterLookup):
-        return OuterLookup(q.var, q.array, _sub_aggs(q.key, repl), q.default)
-    return q
+                for n, op, _, f in folds:
+                    acc[n] = op(acc[n], f(r))
+            rows = [acc]
+        else:
+            raise SeqError(f"unknown plan step {st!r}")
+    return rows, p.head
 
 
 def _bag_to_dict(term, env, ndims: int):
@@ -460,42 +142,29 @@ def _bag_to_dict(term, env, ndims: int):
     if isinstance(term, StateRef):
         return env[term.name]
     res = eval_comp(term, env)
-    if res[0] == "empty":
+    if res is None:
         return None
-    if res[0] == "scalar":
-        v = res[1]
-        key = v[:-1]
-        return {key if ndims > 1 else key[0]: v[-1]}
-    _, rows, head = res
-    fs = [_compile_term(x, env) for x in head.items]
-    out = {}
+    rows, head = res
+    fs = [compile_term(x, env) for x in head.items]
     if ndims == 1:
-        for r in rows:
-            out[fs[0](r)] = fs[1](r)
-    else:
-        for r in rows:
-            out[tuple(f(r) for f in fs[:-1])] = fs[-1](r)
-    return out
+        return {fs[0](r): fs[1](r) for r in rows}
+    return {tuple(f(r) for f in fs[:-1]): fs[-1](r) for r in rows}
 
 
 def _eval_scalar(term, env):
     """Evaluate a bag term expected to hold ≤1 scalar element. Returns
     (present, value); an empty bag leaves the destination unchanged."""
     if not isinstance(term, Comp):
-        return True, _compile_term(term, env)({})
+        return True, compile_term(term, env)({})
     res = eval_comp(term, env)
-    if res[0] == "scalar":
-        return True, res[1]
-    if res[0] == "empty":
+    if res is None or not res[0]:
         return False, None
-    _, rows, head = res
-    if not rows:
-        return False, None
+    rows, head = res
     if len(rows) > 1:
         raise SeqError(
             f"scalar assignment from a bag with more than one element: {show(term)}"
         )
-    return True, _compile_term(head, env)(rows[0])
+    return True, compile_term(head, env)(rows[0])
 
 
 def run_code_seq(code, env: dict, types: dict) -> dict:

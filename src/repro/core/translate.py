@@ -25,8 +25,6 @@ variables, while-loops, and blocks (Python lists).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
 from . import ast as A
 from .comprehension import (
     Agg,
@@ -50,6 +48,7 @@ from .comprehension import (
     Var,
     fresh,
 )
+from .monoids import IDENTITY
 
 
 # ----------------------------------------------------------- target code
@@ -75,18 +74,6 @@ class TWhile:
 
     cond: object
     body: list = field(default_factory=list)
-
-
-# identity element of each ⊕-monoid, as a comprehension constant
-_IDENTITY = {
-    "+": Const(0),
-    "*": Const(1),
-    "min": Const(float("inf")),
-    "max": Const(float("-inf")),
-    "&&": Const(True),
-    "||": Const(False),
-    "argmin": Const(None),
-}
 
 
 class TranslationError(Exception):
@@ -245,7 +232,7 @@ class Translator:
         key_pat = PTuple(tuple(PVar(k) for k in ks)) if len(ks) > 1 else PVar(ks[0])
         key = TupleT(tuple(Var(k) for k in ks)) if len(ks) > 1 else Var(ks[0])
         q.append(GroupByQ(key_pat, key))
-        q.append(OuterLookup(w, dest.array, key, _IDENTITY[monoid]))
+        q.append(OuterLookup(w, dest.array, key, Const(IDENTITY[monoid])))
         head = TupleT(
             tuple(Var(k) for k in ks) + (BinOp(monoid, Var(w), Agg(monoid, Var(v))),)
         )

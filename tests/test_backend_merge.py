@@ -12,8 +12,9 @@ from repro.programs.suite import BY_NAME, build_envs
 from tests.test_backend_sql import _same, three_engines
 from tests.test_handwritten import _plan_shape
 
-L, D = A.TBasic("long"), A.TBasic("double")
-VEC_L = A.TArray(1, L)
+L, D, B = A.TBasic("long"), A.TBasic("double"), A.TBasic("bool")
+NAN = float("nan")
+VEC_L, VEC_D = A.TArray(1, L), A.TArray(1, D)
 # keys 0 and 1 are in both the old array and the update, 5 and (5, 5)
 # only in the old one, 2 and 7 only in the update
 K = {0: 0, 1: 2, 2: 2, 3: 7, 4: 1}
@@ -24,7 +25,7 @@ def _update(op, elem, old, values, ndims):
     dest = "C[K[i]]" if ndims == 1 else "C[K[i], J[i]]"
     src = f"for i = 0, 4 do {dest} {op} {'(i, V[i])' if op == 'argmin=' else 'V[i]'};"
     env = {"C": old, "K": K, "J": J, "V": dict(enumerate(values))}
-    vt = D if isinstance(values[0], float) else L
+    vt = B if isinstance(values[0], bool) else D if isinstance(values[0], float) else L
     types = {"C": A.TArray(ndims, elem), "K": VEC_L, "J": VEC_L, "V": A.TArray(1, vt)}
     return src, env, types
 
@@ -39,18 +40,39 @@ UPDATES = [
      [3.0, 1.0, 0.5, 0.2, 0.3], 1),
     ("argmin=", A.TTuple((L, D)), {(0, 0): (9, 0.5), (1, 1): (8, 0.1), (5, 5): (1, 1.0)},
      [0.1, 1.0, 0.5, 0.2, 0.3], 2),
+    # Spark orders NaN above every double
+    ("max=", D, {0: 2.0, 1: -1.0, 5: 0.0}, [NAN, 1.0, 3.0, 4.0, 0.5], 1),
+    ("min=", D, {0: NAN, 1: -1.0, 5: 0.0}, [3.0, 1.0, NAN, 4.0, 0.5], 1),
+    ("&&=", B, {0: True, 1: False, 5: True}, [True, False, True, False, True], 1),
+    ("||=", B, {(0, 0): False, (1, 1): True, (5, 5): False},
+     [False, True, False, True, False], 2),
 ]
 
 
 @pytest.mark.parametrize(
     "op,elem,old,values,ndims", UPDATES,
-    ids=["sum-1d", "sum-2d", "min-1d", "max-2d", "long-product-1d", "argmin-1d", "argmin-2d"],
+    ids=["sum-1d", "sum-2d", "min-1d", "max-2d", "long-product-1d", "argmin-1d", "argmin-2d",
+         "max-nan-1d", "min-nan-1d", "and-1d", "or-2d"],
 )
 def test_update_of_existing_array_agrees(spark, op, elem, old, values, ndims):
     interp, seq, sp = three_engines(spark, *_update(op, elem, old, values, ndims))
     assert _same(seq["C"], interp["C"]) and _same(sp["C"], interp["C"])
     only_old, only_new = (5, 7) if ndims == 1 else ((5, 5), (7, 3))
     assert sp["C"][only_old] == old[only_old] and only_new in sp["C"]
+
+
+def test_scalar_min_max_order_nan_above_every_double(spark):
+    # Python's max(1.0, nan) is 1.0 but max(nan, 1.0) is nan
+    src = "var m: double = 0.0; var n: double = 5.0; for v in V do { m max= v; n min= v; };"
+    for env in three_engines(spark, src, {"V": {0: 1.0, 1: NAN, 2: 2.0}}, {"V": VEC_D}):
+        assert _same(env["m"], NAN) and _same(env["n"], 1.0)
+
+
+def test_scalar_bool_monoids(spark):
+    src = "var a: bool = true; var o: bool = false; var e: bool = true; " \
+          "for v in V do { a &&= v > 0.0; o ||= v > 5.0; e &&= v > -5.0; };"
+    for env in three_engines(spark, src, {"V": {0: 1.0, 1: -2.0, 2: 9.0}}, {"V": VEC_D}):
+        assert (env["a"], env["o"], env["e"]) == (False, True, True)
 
 
 def test_update_of_existing_array_is_one_join(spark):

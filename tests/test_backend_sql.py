@@ -120,6 +120,15 @@ def test_mod_is_floored(spark, V, d, t):
         assert _same(env["R"], want)
 
 
+@pytest.mark.parametrize("a,want", [(7, 3.5), (-7, -3.5)], ids=["7/2", "-7/2"])
+def test_constant_division_is_true_division(spark, a, want):
+    # a folded constant must divide as every engine does: 7 / 2 is 3.5
+    src = f"var x: double = 0.0; var R: vector[double] = vector(); " \
+          f"x := {a} / 2; for i = 0, 1 do R[i] := {a} / 2;"
+    for env in three_engines(spark, src, {}, {}):
+        assert _same(env["x"], want) and _same(env["R"], {0: want, 1: want})
+
+
 # ------------------------------------------------- cache and catalog
 def _temp_views(spark):
     return {t.name for t in spark.catalog.listTables() if t.isTemporary}

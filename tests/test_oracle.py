@@ -4,7 +4,6 @@ agreement)."""
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data as sd
 from repro.core.pipeline import compile_program, run_program
 from repro.oracle import assert_equivalent
 from repro.programs.suite import BY_NAME, build_envs
@@ -186,21 +185,4 @@ def test_pca_cov_oracle(ran):
         group by a._k2, b._k2
         """,
         M=spec["M"].pdf,
-    )
-
-
-def test_tpch_lite_smoke_oracle(spark):
-    """The provided TPC-H-lite generator works with the oracle (a
-    guard that the shipped harness stays intact)."""
-    li = sd.lineitem(spark, sf=0.001)
-    got = (
-        li.groupBy("l_returnflag")
-        .agg(F.sum("l_quantity").alias("q"))
-        .select(F.col("l_returnflag").alias("f"), "q")
-    )
-    assert_equivalent(
-        got,
-        "select l_returnflag as f, sum(l_quantity) as q "
-        "from lineitem group by l_returnflag",
-        lineitem=li,
     )

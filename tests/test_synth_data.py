@@ -137,10 +137,3 @@ def test_array_data_spark_tuple_roundtrip(spark):
     ad = sd.linreg_points(10)
     got = df_to_dict(ad.df(spark), 1)
     assert got == ad.dict()
-
-
-def test_tpch_lite_generators(spark):
-    li = sd.lineitem(spark, sf=0.001)
-    o = sd.orders(spark, sf=0.001)
-    assert li.count() == 6000 and o.count() == 1500
-    assert "l_orderkey" in li.columns and "o_orderkey" in o.columns
