@@ -525,13 +525,16 @@ def _update_sql(old: DataFrame, comp: Comp, env, qb: _Query, ndims: int):
     fr, head = res
     exprs = [to_sql(x, env) for x in head.items]
     default = look.default.value if isinstance(look.default, Const) else None
+    types = _FRESH.get(old)
     if default in (IDENTITY["min"], IDENTITY["max"]):
-        # least/greatest skip NULLs, so a missed lookup needs no ±inf
-        # identity, a double that would turn longs into doubles
-        default = None
+        # least/greatest skip NULLs, so a missed lookup of a long array
+        # needs no ±inf identity, a double that would make it double; a
+        # double array keeps it, which orders below a NaN update
+        elem = types[-1] if types else _sql_type(old.schema[-1].dataType)
+        if elem != "DOUBLE":
+            default = None
     default = _lit(default)
-    if old in _FRESH:
-        types = _FRESH[old]
+    if types:
         fr.select(qb, fr.with_cols({look.var: f"coalesce(CAST(NULL AS {types[-1]}), {default})"}))
         return _fresh_sql(types, exprs, fr.src)
     ocols = _key_cols(ndims, f"_lk_{look.var}_", f"_lv_{look.var}")

@@ -15,10 +15,9 @@ operation ``⊲``.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 
 # ---------------------------------------------------------------- terms
@@ -187,6 +186,79 @@ class OuterLookup:
 Qualifier = Union[Generator, Cond, LetQ, GroupByQ, OuterLookup]
 
 
+# ------------------------------------------------------------ the walk
+# Every pass rewrites or inspects terms through these tables, the only
+# code that knows which fields of an IR class hold terms.
+_MAP = {
+    Var: None,
+    Const: None,
+    StateRef: None,
+    BinOp: lambda t, f: BinOp(t.op, f(t.left), f(t.right)),
+    UnOp: lambda t, f: UnOp(t.op, f(t.expr)),
+    TupleT: lambda t, f: TupleT(tuple(map(f, t.items))),
+    Proj: lambda t, f: Proj(f(t.expr), t.field),
+    Call: lambda t, f: Call(t.fn, tuple(map(f, t.args))),
+    Agg: lambda t, f: Agg(t.monoid, f(t.expr)),
+    RangeT: lambda t, f: RangeT(f(t.lo), f(t.hi)),
+    InRange: lambda t, f: InRange(f(t.expr), f(t.lo), f(t.hi)),
+    Comp: lambda t, f: Comp(f(t.head), tuple(map_terms(q, f) for q in t.quals)),
+    Merge: lambda t, f: Merge(f(t.old), f(t.new)),
+    Generator: lambda q, f: Generator(q.pat, f(q.source)),
+    Cond: lambda q, f: Cond(f(q.expr)),
+    LetQ: lambda q, f: LetQ(q.pat, f(q.expr)),
+    GroupByQ: lambda q, f: GroupByQ(q.pat, f(q.key)),
+    OuterLookup: lambda q, f: OuterLookup(q.var, q.array, f(q.key), f(q.default)),
+}
+
+_SUBTERMS = {
+    Var: None,
+    Const: None,
+    StateRef: None,
+    BinOp: lambda t: (t.left, t.right),
+    UnOp: lambda t: (t.expr,),
+    TupleT: lambda t: t.items,
+    Proj: lambda t: (t.expr,),
+    Call: lambda t: t.args,
+    Agg: lambda t: (t.expr,),
+    RangeT: lambda t: (t.lo, t.hi),
+    InRange: lambda t: (t.expr, t.lo, t.hi),
+    Comp: lambda t: (t.head, *(x for q in t.quals for x in subterms(q))),
+    Merge: lambda t: (t.old, t.new),
+    Generator: lambda q: (q.source,),
+    Cond: lambda q: (q.expr,),
+    LetQ: lambda q: (q.expr,),
+    GroupByQ: lambda q: (q.key,),
+    OuterLookup: lambda q: (q.key, q.default),
+}
+
+
+def _unknown(x, *_):
+    raise TypeError(f"not a term or qualifier: {x!r}")
+
+
+def map_terms(x, f):
+    """A term or qualifier ``x`` rebuilt with ``f`` applied to each
+    immediate subterm (for a comprehension: its head and the terms of
+    its qualifiers); names, operators and patterns are kept. A term
+    without subterms is returned as it is."""
+    rebuild = _MAP.get(type(x), _unknown)
+    return x if rebuild is None else rebuild(x, f)
+
+
+def subterms(x) -> tuple:
+    """The immediate subterms of a term or qualifier, in the order
+    ``map_terms`` visits them."""
+    get = _SUBTERMS.get(type(x), _unknown)
+    return () if get is None else get(x)
+
+
+def binds(q) -> list:
+    """The variable names a qualifier binds, left to right."""
+    if isinstance(q, OuterLookup):
+        return [q.var]
+    return [] if isinstance(q, Cond) else pat_vars(q.pat)
+
+
 # -------------------------------------------------- term transformation
 _fresh_counter = itertools.count()
 
@@ -196,48 +268,18 @@ def fresh(base: str = "v") -> str:
     return f"{base}_{next(_fresh_counter)}"
 
 
-def free_vars(t: Term) -> set:
-    """Free comprehension variables of a term (StateRefs excluded)."""
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, (Const, StateRef)):
-        return set()
-    if isinstance(t, BinOp):
-        return free_vars(t.left) | free_vars(t.right)
-    if isinstance(t, (UnOp, Agg)):
-        return free_vars(t.expr)
-    if isinstance(t, Proj):
-        return free_vars(t.expr)
-    if isinstance(t, TupleT):
-        return set().union(*[free_vars(x) for x in t.items]) if t.items else set()
-    if isinstance(t, Call):
-        return set().union(*[free_vars(x) for x in t.args]) if t.args else set()
-    if isinstance(t, RangeT):
-        return free_vars(t.lo) | free_vars(t.hi)
-    if isinstance(t, InRange):
-        return free_vars(t.expr) | free_vars(t.lo) | free_vars(t.hi)
-    if isinstance(t, Merge):
-        return free_vars(t.old) | free_vars(t.new)
-    if isinstance(t, Comp):
+def free_vars(x) -> set:
+    """Free comprehension variables of a term or qualifier (StateRefs
+    excluded)."""
+    if isinstance(x, Var):
+        return {x.name}
+    if isinstance(x, Comp):
         bound, free = set(), set()
-        for q in t.quals:
-            if isinstance(q, Generator):
-                free |= free_vars(q.source) - bound
-                bound |= set(pat_vars(q.pat))
-            elif isinstance(q, LetQ):
-                free |= free_vars(q.expr) - bound
-                bound |= set(pat_vars(q.pat))
-            elif isinstance(q, Cond):
-                free |= free_vars(q.expr) - bound
-            elif isinstance(q, GroupByQ):
-                free |= free_vars(q.key) - bound
-                bound |= set(pat_vars(q.pat))
-            elif isinstance(q, OuterLookup):
-                free |= (free_vars(q.key) | free_vars(q.default)) - bound
-                bound.add(q.var)
-        free |= free_vars(t.head) - bound
-        return free
-    raise TypeError(f"free_vars: unknown term {t!r}")
+        for q in x.quals:
+            free |= free_vars(q) - bound
+            bound.update(binds(q))
+        return free | (free_vars(x.head) - bound)
+    return set().union(*map(free_vars, subterms(x)))
 
 
 def state_refs(t) -> list:
@@ -248,76 +290,68 @@ def state_refs(t) -> list:
     def walk(x):
         if isinstance(x, StateRef):
             out.append(x.name)
-        elif isinstance(x, OuterLookup):
-            out.append(x.array)
-            walk(x.key)
-            walk(x.default)
-        elif isinstance(x, tuple):
-            for y in x:
+        elif isinstance(x, Comp):
+            walk(x.head)
+            for q in x.quals:
+                if isinstance(q, OuterLookup):
+                    out.append(q.array)
+                for y in subterms(q):
+                    walk(y)
+        else:
+            for y in subterms(x):
                 walk(y)
-        elif dataclasses.is_dataclass(x):
-            for f in dataclasses.fields(x):
-                walk(getattr(x, f.name))
 
     walk(t)
     return out
 
 
-def subst(t: Term, env: dict) -> Term:
-    """Capture-avoiding substitution of Vars by terms.
+def subst(x, env: dict):
+    """Capture-avoiding substitution of Vars by terms in a term or
+    qualifier.
 
     Comprehension-bound variables are assumed globally unique (the
     translator only ever introduces ``fresh`` names), so no renaming is
     needed here; bound names are simply dropped from the substitution.
     """
-    if not env:
-        return t
-    if isinstance(t, Var):
-        return env.get(t.name, t)
-    if isinstance(t, (Const, StateRef)):
-        return t
-    if isinstance(t, BinOp):
-        return BinOp(t.op, subst(t.left, env), subst(t.right, env))
-    if isinstance(t, UnOp):
-        return UnOp(t.op, subst(t.expr, env))
-    if isinstance(t, Agg):
-        return Agg(t.monoid, subst(t.expr, env))
-    if isinstance(t, Proj):
-        return Proj(subst(t.expr, env), t.field)
-    if isinstance(t, TupleT):
-        return TupleT(tuple(subst(x, env) for x in t.items))
-    if isinstance(t, Call):
-        return Call(t.fn, tuple(subst(x, env) for x in t.args))
-    if isinstance(t, RangeT):
-        return RangeT(subst(t.lo, env), subst(t.hi, env))
-    if isinstance(t, InRange):
-        return InRange(subst(t.expr, env), subst(t.lo, env), subst(t.hi, env))
-    if isinstance(t, Merge):
-        return Merge(subst(t.old, env), subst(t.new, env))
-    if isinstance(t, Comp):
-        env = dict(env)
-        quals = []
-        for q in t.quals:
-            if isinstance(q, Generator):
-                q = Generator(q.pat, subst(q.source, env))
-                for v in pat_vars(q.pat):
-                    env.pop(v, None)
-            elif isinstance(q, LetQ):
-                q = LetQ(q.pat, subst(q.expr, env))
-                for v in pat_vars(q.pat):
-                    env.pop(v, None)
-            elif isinstance(q, Cond):
-                q = Cond(subst(q.expr, env))
-            elif isinstance(q, GroupByQ):
-                q = GroupByQ(q.pat, subst(q.key, env))
-                for v in pat_vars(q.pat):
-                    env.pop(v, None)
-            elif isinstance(q, OuterLookup):
-                q = OuterLookup(q.var, q.array, subst(q.key, env), subst(q.default, env))
-                env.pop(q.var, None)
-            quals.append(q)
-        return Comp(subst(t.head, env), tuple(quals))
-    raise TypeError(f"subst: unknown term {t!r}")
+    def go(t):
+        if isinstance(t, Var):
+            return env.get(t.name, t)
+        if isinstance(t, Comp):
+            inner = dict(env)
+            quals = []
+            for q in t.quals:
+                quals.append(subst(q, inner))
+                for v in binds(q):
+                    inner.pop(v, None)
+            return Comp(subst(t.head, inner), tuple(quals))
+        return map_terms(t, go)
+
+    return go(x) if env else x
+
+
+def aggs(x) -> list:
+    """The ``Agg`` nodes of a term or qualifier, left to right, outside
+    nested comprehensions (whose reductions are their own)."""
+    if isinstance(x, Agg):
+        return [x]
+    if isinstance(x, Comp):
+        return []
+    return [a for t in subterms(x) for a in aggs(t)]
+
+
+def sub_aggs(x, fn):
+    """A term or qualifier with each ``Agg`` node ``a`` that ``aggs``
+    finds replaced by ``fn(a)``."""
+    if isinstance(x, Agg):
+        return fn(x)
+    if isinstance(x, Comp):
+        return x
+    return map_terms(x, lambda t: sub_aggs(t, fn))
+
+
+def unagg(x):
+    """``⊕/e → e``: the reductions of singleton groups."""
+    return sub_aggs(x, lambda a: unagg(a.expr))
 
 
 # ------------------------------------------------------ pretty printing

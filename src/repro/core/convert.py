@@ -2,7 +2,6 @@
 interpreter's dict arrays, plus result canonicalization for tests."""
 from __future__ import annotations
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from . import ast as A
@@ -32,12 +31,6 @@ def dict_to_df(spark: SparkSession, d: dict, arr_type: A.TArray) -> DataFrame:
         key = k if isinstance(k, tuple) else (k,)
         rows.append(tuple(key) + (v,))
     return spark.createDataFrame(rows, schema)
-
-
-def pdf_to_array_df(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
-    """pandas frame with columns already named ``_k1.._kn, _v`` →
-    Spark array DataFrame (fast Arrow path for benchmark inputs)."""
-    return spark.createDataFrame(pdf)
 
 
 def approx_dict_equal(a: dict, b: dict, tol: float = 1e-6) -> bool:

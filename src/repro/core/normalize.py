@@ -1,44 +1,42 @@
 """Comprehension normalization (paper Rule 2 plus housekeeping).
 
-Passes, applied bottom-up to a fixpoint:
+Passes, applied bottom-up (over ``comprehension.map_terms``) to a
+fixpoint:
 
 * **unnesting** (Rule 2): a generator whose source is a group-by-free
   comprehension is spliced into the outer qualifier list, its head bound
   with a let;
 * **tuple-pattern lets**: ``let (a, b) = (x, y)`` splits into two lets;
 * **let inlining**: every ``let x = e`` is substituted forward (terms
-  are pure; all bound names are globally fresh). Substitution stops at
-  a qualifier that re-binds ``x`` (e.g. a group-by key pattern);
+  are pure; all bound names are globally fresh), in one left-to-right
+  pass over the qualifiers with an accumulated substitution: each
+  qualifier is rewritten by the lets before it, and ``x`` leaves the
+  substitution at a qualifier that re-binds it (e.g. a group-by key
+  pattern);
 * **constant folding** of arithmetic/comparisons on literals, and
   removal of trivially-true conditions.
 """
 from __future__ import annotations
 
 from .comprehension import (
-    Agg,
     BinOp,
-    Call,
     Comp,
     Cond,
     Const,
     Generator,
     GroupByQ,
-    InRange,
     LetQ,
-    Merge,
-    OuterLookup,
     Proj,
     PTuple,
     PVar,
-    RangeT,
-    StateRef,
     TupleT,
     UnOp,
-    Var,
-    pat_vars,
+    binds,
+    map_terms,
     subst,
 )
 from .monoids import BIN
+from .translate import map_code
 
 # the operators folded on constants: all but the monoids min, max, argmin
 _FOLDED = BIN.keys() - {"min", "max", "argmin"}
@@ -66,29 +64,10 @@ def _fold(t):
 
 def norm_term(t):
     """Normalize a term bottom-up."""
-    if isinstance(t, (Var, Const, StateRef)):
-        return t
-    if isinstance(t, BinOp):
-        return _fold(BinOp(t.op, norm_term(t.left), norm_term(t.right)))
-    if isinstance(t, UnOp):
-        return _fold(UnOp(t.op, norm_term(t.expr)))
-    if isinstance(t, Agg):
-        return Agg(t.monoid, norm_term(t.expr))
-    if isinstance(t, Proj):
-        return _fold(Proj(norm_term(t.expr), t.field))
-    if isinstance(t, TupleT):
-        return TupleT(tuple(norm_term(x) for x in t.items))
-    if isinstance(t, Call):
-        return Call(t.fn, tuple(norm_term(x) for x in t.args))
-    if isinstance(t, RangeT):
-        return RangeT(norm_term(t.lo), norm_term(t.hi))
-    if isinstance(t, InRange):
-        return InRange(norm_term(t.expr), norm_term(t.lo), norm_term(t.hi))
-    if isinstance(t, Merge):
-        return Merge(norm_term(t.old), norm_term(t.new))
     if isinstance(t, Comp):
         return _norm_comp(t)
-    raise TypeError(f"norm_term: unknown term {t!r}")
+    u = map_terms(t, norm_term)
+    return t if u is t else _fold(u)  # a leaf folds to itself
 
 
 def _has_groupby(quals) -> bool:
@@ -97,23 +76,8 @@ def _has_groupby(quals) -> bool:
 
 def _norm_comp(c: Comp) -> Comp:
     # normalize qualifier subterms and head first
-    quals = []
-    for q in c.quals:
-        if isinstance(q, Generator):
-            quals.append(Generator(q.pat, norm_term(q.source)))
-        elif isinstance(q, Cond):
-            quals.append(Cond(norm_term(q.expr)))
-        elif isinstance(q, LetQ):
-            quals.append(LetQ(q.pat, norm_term(q.expr)))
-        elif isinstance(q, GroupByQ):
-            quals.append(GroupByQ(q.pat, norm_term(q.key)))
-        elif isinstance(q, OuterLookup):
-            quals.append(
-                OuterLookup(q.var, q.array, norm_term(q.key), norm_term(q.default))
-            )
-        else:
-            raise TypeError(f"unknown qualifier {q!r}")
-    head = norm_term(c.head)
+    c = map_terms(c, norm_term)
+    quals, head = c.quals, c.head
 
     # Rule 2: splice generators over group-by-free comprehensions
     changed = True
@@ -149,50 +113,23 @@ def _norm_comp(c: Comp) -> Comp:
                 out.append(q)
         quals = out
 
-    # inline simple lets forward (stop when the name is re-bound)
-    i = 0
-    while i < len(quals):
-        q = quals[i]
+    # inline simple lets forward in one pass: each qualifier is rewritten
+    # by the lets before it, until a qualifier re-binds a let's name
+    env: dict = {}
+    inlined = []
+    for q in quals:
+        q = subst(q, env)
+        for v in binds(q):
+            env.pop(v, None)
         if isinstance(q, LetQ) and isinstance(q.pat, PVar):
-            name, repl = q.pat.name, q.expr
-            rest = quals[i + 1:]
-            new_rest = []
-            active = True
-            for r in rest:
-                if not active:
-                    new_rest.append(r)
-                    continue
-                env = {name: repl}
-                if isinstance(r, Generator):
-                    r = Generator(r.pat, subst(r.source, env))
-                    if name in pat_vars(r.pat):
-                        active = False
-                elif isinstance(r, Cond):
-                    r = Cond(subst(r.expr, env))
-                elif isinstance(r, LetQ):
-                    r = LetQ(r.pat, subst(r.expr, env))
-                    if name in pat_vars(r.pat):
-                        active = False
-                elif isinstance(r, GroupByQ):
-                    r = GroupByQ(r.pat, subst(r.key, env))
-                    if name in pat_vars(r.pat):
-                        active = False
-                elif isinstance(r, OuterLookup):
-                    r = OuterLookup(
-                        r.var, r.array, subst(r.key, env), subst(r.default, env)
-                    )
-                    if r.var == name:
-                        active = False
-                new_rest.append(r)
-            if active:
-                head = subst(head, {name: repl})
-            quals = quals[:i] + new_rest
-            continue  # re-examine position i
-        i += 1
+            env[q.pat.name] = q.expr
+        else:
+            inlined.append(q)
+    head = subst(head, env)
 
     # fold freshly-substituted conditions; drop trivially-true ones
     final = []
-    for q in quals:
+    for q in inlined:
         if isinstance(q, Cond):
             e = norm_term(q.expr)
             if isinstance(e, Const) and e.value is True:
@@ -212,16 +149,4 @@ def _norm_comp(c: Comp) -> Comp:
 
 def normalize_code(code):
     """Normalize all terms in a target-code block (list of statements)."""
-    from .translate import TAssign, TInit, TWhile
-
-    out = []
-    for st in code:
-        if isinstance(st, TAssign):
-            out.append(TAssign(st.name, norm_term(st.term)))
-        elif isinstance(st, TWhile):
-            out.append(TWhile(norm_term(st.cond), normalize_code(st.body)))
-        elif isinstance(st, TInit):
-            out.append(st)
-        else:
-            raise TypeError(f"unknown target statement {st!r}")
-    return out
+    return map_code(code, norm_term)

@@ -35,7 +35,6 @@ from .comprehension import (
     GroupByQ,
     InRange,
     LetQ,
-    Merge,
     OuterLookup,
     Proj,
     PTuple,
@@ -43,14 +42,16 @@ from .comprehension import (
     RangeT,
     StateRef,
     TupleT,
-    UnOp,
     Var,
     free_vars,
+    map_terms,
     pat_vars,
     subst,
+    unagg,
 )
 from .monoids import IDENTITY
 from .normalize import norm_term
+from .translate import map_code
 
 
 def _solve_for(var: str, eq: BinOp):
@@ -109,7 +110,7 @@ def _eliminate_ranges(c: Comp) -> Comp:
                     InRange(sol, g.source.lo, g.source.hi)
                 )
                 env = {var: sol}
-                quals = [_subst_qual(r, env) for r in rest]
+                quals = [subst(r, env) for r in rest]
                 # the range variable may appear directly in the head of
                 # a group-by-free comprehension (e.g. rule 15b keys);
                 # after a group-by the head only sees the rebound key
@@ -169,44 +170,13 @@ def _eliminate_self_joins(c: Comp) -> Comp:
         for qi, q in enumerate(quals):
             if qi == drop or any(q is e for e in eqs):
                 continue
-            q = _subst_qual(q, env)
+            q = subst(q, env)
             # both traversals' filters now test the same variables:
             # keep one copy of each
             if not (qi < npre and q in rest):
                 rest.append(q)
         quals, head = rest, subst(head, env)
     return Comp(head, tuple(quals))
-
-
-def _subst_qual(q, env):
-    if isinstance(q, Generator):
-        return Generator(q.pat, subst(q.source, env))
-    if isinstance(q, Cond):
-        return Cond(subst(q.expr, env))
-    if isinstance(q, LetQ):
-        return LetQ(q.pat, subst(q.expr, env))
-    if isinstance(q, GroupByQ):
-        return GroupByQ(q.pat, subst(q.key, env))
-    if isinstance(q, OuterLookup):
-        return OuterLookup(q.var, q.array, subst(q.key, env), subst(q.default, env))
-    raise TypeError(f"unknown qualifier {q!r}")
-
-
-def _replace_aggs(t):
-    """Rule 17 helper: ``⊕/e → e`` (groups are singletons)."""
-    if isinstance(t, Agg):
-        return _replace_aggs(t.expr)
-    if isinstance(t, BinOp):
-        return BinOp(t.op, _replace_aggs(t.left), _replace_aggs(t.right))
-    if isinstance(t, UnOp):
-        return UnOp(t.op, _replace_aggs(t.expr))
-    if isinstance(t, TupleT):
-        return TupleT(tuple(_replace_aggs(x) for x in t.items))
-    if isinstance(t, Call):
-        return Call(t.fn, tuple(_replace_aggs(x) for x in t.args))
-    if isinstance(t, Proj):
-        return Proj(_replace_aggs(t.expr), t.field)
-    return t
 
 
 def _groupby_rules(c: Comp) -> Comp:
@@ -256,24 +226,10 @@ def _groupby_rules(c: Comp) -> Comp:
                 and set(key_vars) == set(idx)
                 and len(key_vars) == len(idx)
             ):
-                new = pre + [LetQ(q.pat, q.key)] + [
-                    _map_qual_aggs(r) for r in quals[qi + 1:]
-                ]
-                return Comp(_replace_aggs(c.head), tuple(new))
+                new = pre + [LetQ(q.pat, q.key)] + [unagg(r) for r in quals[qi + 1:]]
+                return Comp(unagg(c.head), tuple(new))
         break  # at most one group-by per comprehension in our pipeline
     return c
-
-
-def _map_qual_aggs(q):
-    if isinstance(q, Cond):
-        return Cond(_replace_aggs(q.expr))
-    if isinstance(q, LetQ):
-        return LetQ(q.pat, _replace_aggs(q.expr))
-    if isinstance(q, OuterLookup):
-        return OuterLookup(
-            q.var, q.array, _replace_aggs(q.key), _replace_aggs(q.default)
-        )
-    return q
 
 
 def _expand_tuple_monoids(c: Comp) -> Comp:
@@ -287,7 +243,9 @@ def _expand_tuple_monoids(c: Comp) -> Comp:
     lookup's default switches to NULL). ``argmin`` is intrinsically
     tuple-typed and is left alone."""
 
-    def rewrite(t, lookups):
+    lookups: set = set()
+
+    def rewrite(t):
         if isinstance(t, BinOp) and t.op in IDENTITY and t.op != "argmin":
             rhs = t.right
             items = None
@@ -308,13 +266,10 @@ def _expand_tuple_monoids(c: Comp) -> Comp:
                     )
                     for i, x in enumerate(items)
                 ))
-            return BinOp(t.op, rewrite(t.left, lookups), rewrite(t.right, lookups))
-        if isinstance(t, TupleT):
-            return TupleT(tuple(rewrite(x, lookups) for x in t.items))
-        return t
+        # the value sits under the head's tuple and monoid operators
+        return map_terms(t, rewrite) if isinstance(t, (BinOp, TupleT)) else t
 
-    lookups: set = set()
-    head = rewrite(c.head, lookups)
+    head = rewrite(c.head)
     if head == c.head:
         return c
     quals = tuple(
@@ -328,58 +283,15 @@ def _expand_tuple_monoids(c: Comp) -> Comp:
 
 def optimize_term(t):
     """Apply all optimizations bottom-up, then re-normalize."""
-    if isinstance(t, Comp):
-        t = Comp(
-            optimize_term(t.head),
-            tuple(_opt_qual(q) for q in t.quals),
-        )
-        t = _eliminate_ranges(t)
-        t = _eliminate_self_joins(t)
-        t = _groupby_rules(t)
-        t = _expand_tuple_monoids(t)
-        return norm_term(t)
-    if isinstance(t, Merge):
-        return Merge(optimize_term(t.old), optimize_term(t.new))
-    if isinstance(t, BinOp):
-        return BinOp(t.op, optimize_term(t.left), optimize_term(t.right))
-    if isinstance(t, UnOp):
-        return UnOp(t.op, optimize_term(t.expr))
-    if isinstance(t, TupleT):
-        return TupleT(tuple(optimize_term(x) for x in t.items))
-    if isinstance(t, Call):
-        return Call(t.fn, tuple(optimize_term(x) for x in t.args))
-    if isinstance(t, Agg):
-        return Agg(t.monoid, optimize_term(t.expr))
-    if isinstance(t, Proj):
-        return Proj(optimize_term(t.expr), t.field)
-    return t
-
-
-def _opt_qual(q):
-    if isinstance(q, Generator):
-        return Generator(q.pat, optimize_term(q.source))
-    if isinstance(q, Cond):
-        return Cond(optimize_term(q.expr))
-    if isinstance(q, LetQ):
-        return LetQ(q.pat, optimize_term(q.expr))
-    if isinstance(q, GroupByQ):
-        return GroupByQ(q.pat, optimize_term(q.key))
-    if isinstance(q, OuterLookup):
-        return OuterLookup(q.var, q.array, optimize_term(q.key), optimize_term(q.default))
-    raise TypeError(f"unknown qualifier {q!r}")
+    t = map_terms(t, optimize_term)
+    if not isinstance(t, Comp):
+        return t
+    t = _eliminate_ranges(t)
+    t = _eliminate_self_joins(t)
+    t = _groupby_rules(t)
+    t = _expand_tuple_monoids(t)
+    return norm_term(t)
 
 
 def optimize_code(code):
-    from .translate import TAssign, TInit, TWhile
-
-    out = []
-    for st in code:
-        if isinstance(st, TAssign):
-            out.append(TAssign(st.name, optimize_term(st.term)))
-        elif isinstance(st, TWhile):
-            out.append(TWhile(optimize_term(st.cond), optimize_code(st.body)))
-        elif isinstance(st, TInit):
-            out.append(st)
-        else:
-            raise TypeError(f"unknown target statement {st!r}")
-    return out
+    return map_code(code, optimize_term)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from pyspark.sql import SparkSession
 
-from . import ast as A
 from .backend import run_code
 from .normalize import normalize_code
 from .optimize import optimize_code
@@ -56,7 +55,3 @@ def run_program(
     mutated.
     """
     return run_code(compiled.code, dict(env), spark, compiled.types)
-
-
-def compile_and_run(src: str, env: dict, spark: SparkSession, extern_types=None):
-    return run_program(compile_program(src, extern_types), env, spark)

@@ -26,12 +26,10 @@ too.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .comprehension import (
-    Agg,
     BinOp,
     Call,
     Comp,
@@ -48,9 +46,12 @@ from .comprehension import (
     TupleT,
     UnOp,
     Var,
+    aggs,
     free_vars,
     pat_vars,
     show,
+    sub_aggs,
+    unagg,
 )
 from .monoids import BIN, CALLS
 
@@ -140,32 +141,6 @@ class Plan:
     head: object
 
 
-# terms whose subterms are expressions (a nested comprehension is not)
-_COMPOUND = (BinOp, UnOp, TupleT, Proj, Call, InRange)
-
-
-def _aggs(t) -> list:
-    """The ``Agg`` nodes of a term, left to right."""
-    if isinstance(t, Agg):
-        return [t]
-    if isinstance(t, tuple):
-        return [a for x in t for a in _aggs(x)]
-    if not isinstance(t, _COMPOUND):
-        return []
-    return [a for f in dataclasses.fields(t) for a in _aggs(getattr(t, f.name))]
-
-
-def _sub_aggs(t, fn):
-    """``t`` with each ``Agg`` node ``a`` replaced by ``fn(a)``."""
-    if isinstance(t, Agg):
-        return fn(t)
-    if isinstance(t, tuple):
-        return tuple(_sub_aggs(x, fn) for x in t)
-    if not isinstance(t, _COMPOUND):
-        return t
-    return type(t)(*(_sub_aggs(getattr(t, f.name), fn) for f in dataclasses.fields(t)))
-
-
 def _items(key) -> tuple:
     return key.items if isinstance(key, TupleT) else (key,)
 
@@ -188,7 +163,7 @@ def plan(comp: Comp) -> Plan:
     quals = comp.quals
     hoisted = {
         i for i, q in enumerate(quals)
-        if isinstance(q, Cond) and free_vars(q.expr) and not _aggs(q.expr)
+        if isinstance(q, Cond) and free_vars(q.expr) and not aggs(q.expr)
     }
     pending = [quals[i].expr for i in sorted(hoisted)]
     driver: list = []
@@ -198,12 +173,12 @@ def plan(comp: Comp) -> Plan:
 
     def reduce(t):
         if not steps:  # a singleton bag: ⊕/e is e
-            return _sub_aggs(t, lambda a: reduce(a.expr))
-        return _sub_aggs(t, lambda a: Var(names_of[id(a)]) if id(a) in names_of else a)
+            return unagg(t)
+        return sub_aggs(t, lambda a: Var(names_of[id(a)]) if id(a) in names_of else a)
 
     def name_aggs(ts) -> tuple:
         out = []
-        for a in _aggs(tuple(ts)):
+        for a in [a for t in ts for a in aggs(t)]:
             if id(a) not in names_of:
                 names_of[id(a)] = f"_agg{len(names_of)}"
                 out.append((names_of[id(a)], a.monoid, a.expr))
@@ -266,16 +241,12 @@ def plan(comp: Comp) -> Plan:
                 continue
             if len(names) != len(keys):
                 raise PlanError("group-by pattern/key arity mismatch")
-            later = [comp.head] + [
-                r.key if isinstance(r, OuterLookup) else r.expr
-                for r in quals[i + 1:] if isinstance(r, (Cond, LetQ, OuterLookup))
-            ]
-            aggs = name_aggs(later)
+            reductions = name_aggs([comp.head, *quals[i + 1:]])
             bound.clear()
-            add(GroupBy(names, keys, aggs), names + tuple(n for n, _, _ in aggs))
+            add(GroupBy(names, keys, reductions), names + tuple(n for n, _, _ in reductions))
         elif isinstance(q, OuterLookup):
             default = q.default.value if isinstance(q.default, Const) else None
-            look = Lookup(q.var, q.array, reduce(_items(q.key)), default)
+            look = Lookup(q.var, q.array, tuple(map(reduce, _items(q.key))), default)
             if steps:
                 add(look, (q.var,))
             else:
@@ -287,7 +258,7 @@ def plan(comp: Comp) -> Plan:
         raise PlanError(
             "conditions with unbound variables: " + "; ".join(show(c) for c in pending)
         )
-    if steps and not any(isinstance(s, GroupBy) for s in steps) and _aggs(comp.head):
+    if steps and not any(isinstance(s, GroupBy) for s in steps) and aggs(comp.head):
         steps.append(Total(name_aggs([comp.head])))
     return Plan(tuple(driver), tuple(steps), reduce(comp.head))
 

@@ -80,6 +80,23 @@ class TranslationError(Exception):
     pass
 
 
+def map_code(code: list, f) -> list:
+    """A target-code block with ``f`` applied to the term of each
+    assignment and the test of each ``while`` loop, nested blocks
+    included (the statement walk under every comprehension pass)."""
+    out = []
+    for st in code:
+        if isinstance(st, TAssign):
+            out.append(TAssign(st.name, f(st.term)))
+        elif isinstance(st, TWhile):
+            out.append(TWhile(f(st.cond), map_code(st.body, f)))
+        elif isinstance(st, TInit):
+            out.append(st)
+        else:
+            raise TypeError(f"unknown target statement {st!r}")
+    return out
+
+
 class Translator:
     """Stateful translator; tracks which names are comprehension-bound
     (loop indexes, for-in element variables, if-condition bindings)

@@ -30,14 +30,6 @@ class Program:
     float_outputs: bool = True
 
 
-def _env(size, **specs):
-    """specs: name → (tiny_value, bench_value) or callable(size)."""
-    out = {}
-    for k, v in specs.items():
-        out[k] = v(size) if callable(v) else v
-    return out
-
-
 # ------------------------------------------------------------- sources
 SUM_SRC = """
 var sum: double = 0.0;

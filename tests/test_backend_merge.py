@@ -43,6 +43,9 @@ UPDATES = [
     # Spark orders NaN above every double
     ("max=", D, {0: 2.0, 1: -1.0, 5: 0.0}, [NAN, 1.0, 3.0, 4.0, 0.5], 1),
     ("min=", D, {0: NAN, 1: -1.0, 5: 0.0}, [3.0, 1.0, NAN, 4.0, 0.5], 1),
+    # keys 2 and 7 get only NaN updates: the ±inf identity orders below NaN
+    ("min=", D, {0: 2.0, 1: -1.0, 5: 0.0}, [3.0, NAN, NAN, NAN, 0.5], 1),
+    ("max=", D, {0: 2.0, 1: -1.0, 5: 0.0}, [3.0, NAN, NAN, NAN, 0.5], 1),
     ("&&=", B, {0: True, 1: False, 5: True}, [True, False, True, False, True], 1),
     ("||=", B, {(0, 0): False, (1, 1): True, (5, 5): False},
      [False, True, False, True, False], 2),
@@ -52,7 +55,7 @@ UPDATES = [
 @pytest.mark.parametrize(
     "op,elem,old,values,ndims", UPDATES,
     ids=["sum-1d", "sum-2d", "min-1d", "max-2d", "long-product-1d", "argmin-1d", "argmin-2d",
-         "max-nan-1d", "min-nan-1d", "and-1d", "or-2d"],
+         "max-nan-1d", "min-nan-1d", "min-only-nan-1d", "max-only-nan-1d", "and-1d", "or-2d"],
 )
 def test_update_of_existing_array_agrees(spark, op, elem, old, values, ndims):
     interp, seq, sp = three_engines(spark, *_update(op, elem, old, values, ndims))
@@ -92,6 +95,15 @@ def test_fresh_double_array_of_long_counts_stays_double(spark):
     )
     assert out["C"].schema["_v"].dataType.simpleString() == "double"
     assert _same(df_to_dict(out["C"], 1), {3: 2.0, 4: 1.0})
+
+
+@pytest.mark.parametrize("op,want", [("min=", float("inf")), ("max=", NAN)])
+def test_fresh_double_array_min_max_of_only_nan(spark, op, want):
+    # key 0 gets only a NaN: min(inf, NaN) is inf, max(-inf, NaN) NaN
+    src = f"var C: vector[double] = vector(); for i = 0, 1 do C[K[i]] {op} V[i];"
+    env = {"K": {0: 0, 1: 1}, "V": {0: NAN, 1: 1.0}}
+    for out in three_engines(spark, src, env, {"K": VEC_L, "V": VEC_D}):
+        assert _same(out["C"], {0: want, 1: 1.0})
 
 
 def test_fresh_long_array_max_stays_long(spark):

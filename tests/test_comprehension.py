@@ -1,27 +1,40 @@
-"""Comprehension IR utilities: free variables, substitution, printing."""
+"""Comprehension IR utilities: the walk, free variables, substitution,
+printing."""
+import dataclasses
+from typing import get_args
+
+import pytest
+
 from repro.core.comprehension import (
     Agg,
     BinOp,
+    Call,
     Comp,
     Cond,
     Const,
     Generator,
     GroupByQ,
+    InRange,
     LetQ,
     Merge,
     OuterLookup,
     Proj,
     PTuple,
     PVar,
+    Qualifier,
     RangeT,
     StateRef,
+    Term,
     TupleT,
+    UnOp,
     Var,
     fresh,
     free_vars,
+    map_terms,
     pat_vars,
     show,
     subst,
+    subterms,
 )
 
 
@@ -114,3 +127,47 @@ def test_show_merge():
 def test_show_range_and_proj():
     assert show(RangeT(Const(0), Const(9))) == "range(0, 9)"
     assert show(Proj(Var("p"), "red")) == "p.red"
+
+
+# ------------------------------------------------------------ the walk
+TERMS, QUALS = get_args(Term), get_args(Qualifier)
+a, b, c = Var("a"), Const(1), StateRef("S")
+P = PTuple((PVar("i"), PVar("v")))
+# one instance of every IR class
+NODES = [
+    Var("x"), Const(2), StateRef("X"), BinOp("+", a, b), UnOp("-", a),
+    TupleT((a, b, c)), Proj(a, "_1"), Call("f", (a, b)), Agg("+", a),
+    RangeT(a, b), InRange(a, b, c), Merge(c, a),
+    Comp(a, (Generator(P, c), Cond(b), LetQ(PVar("l"), Var("v")))),
+    Generator(P, c), Cond(a), LetQ(P, a), GroupByQ(PVar("k"), a),
+    OuterLookup("w", "X", a, b),
+]
+
+
+def _term_fields(x) -> tuple:
+    """The terms in the fields of ``x``, found by value: the subterms a
+    walk must visit."""
+    out = []
+    for f in dataclasses.fields(x):
+        v = getattr(x, f.name)
+        for y in v if isinstance(v, tuple) else (v,):
+            if isinstance(y, TERMS):
+                out.append(y)
+            elif isinstance(y, QUALS):
+                out.extend(_term_fields(y))
+    return tuple(out)
+
+
+def _mark(t):
+    return UnOp("mark", t)
+
+
+def test_nodes_cover_every_ir_class():
+    assert {type(x) for x in NODES} == set(TERMS) | set(QUALS)
+
+
+@pytest.mark.parametrize("x", NODES, ids=lambda x: type(x).__name__)
+def test_walk_visits_exactly_the_term_fields(x):
+    assert subterms(x) == _term_fields(x)
+    assert map_terms(x, lambda t: t) == x
+    assert subterms(map_terms(x, _mark)) == tuple(map(_mark, _term_fields(x)))
