@@ -38,9 +38,9 @@ import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
 
-@pytest.fixture(scope="session")
-def spark() -> SparkSession:
-    """One local-mode SparkSession for the whole test session.
+def make_spark(app: str) -> SparkSession:
+    """A local-mode SparkSession, shared by the tests and the
+    ``jobs/paper_tables.py`` harness.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
@@ -49,8 +49,8 @@ def spark() -> SparkSession:
     actually exercise the shuffle path at SF~=0.1; a reproduction that
     wants a broadcast join sets the threshold back for that query.
     """
-    s = (
-        SparkSession.builder.appName("repro")
+    return (
+        SparkSession.builder.appName(app)
         .config(
             "spark.sql.shuffle.partitions",
             os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
@@ -59,6 +59,12 @@ def spark() -> SparkSession:
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
+
+
+@pytest.fixture(scope="session")
+def spark() -> SparkSession:
+    """One local-mode SparkSession for the whole test session."""
+    s = make_spark("repro")
     # One line in the test log that records the driver heap and where
     # it came from.
     print(

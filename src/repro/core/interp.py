@@ -2,7 +2,8 @@
 
 This is the ground truth for correctness tests (the paper's soundness
 theorem says the translated DISC program must be equivalent to the
-sequential loop program) and the "seq" side of Table 2.
+sequential loop program). It is not Table 2's "seq" side: that is
+``seq_backend.run_program_seq``, which runs the translated program.
 
 Arrays are Python dicts (sparse: key → value; multi-dimensional keys
 are tuples). Reading an absent element yields the ``MISSING`` sentinel,
@@ -12,7 +13,7 @@ incremental update to an absent element starts from the ⊕-monoid
 identity, matching the backend's outer lookup.
 
 Statements compile once to Python closures (a tree-walking interpreter
-would be ~10× slower, which would distort the Table 2 comparison).
+would be ~10× slower).
 """
 from __future__ import annotations
 

@@ -233,20 +233,21 @@ def _groupby_rules(c: Comp) -> Comp:
 
 
 def _expand_tuple_monoids(c: Comp) -> Comp:
-    """Rewrite tuple-valued reductions into per-component scalar ones.
+    """Rewrite tuple-valued sums into per-component scalar ones.
 
     An incremental update with a tuple value (the paper's ``Avg``-style
     monoid, e.g. ``avg[k] += (x, y, 1)``) produces a head term
-    ``w ⊕ (⊕/ (e1, …, en))``. Backends only aggregate scalars, so this
-    becomes ``(w._1 ⊕ ⊕/e1, …, w._n ⊕ ⊕/en)`` with a null-safe
-    ``coalesce(w._i, identity)`` for the pre-update value (the outer
-    lookup's default switches to NULL). ``argmin`` is intrinsically
-    tuple-typed and is left alone."""
+    ``w + (+/ (e1, …, en))``. Backends only aggregate scalars, so this
+    becomes ``(w._1 + +/e1, …, w._n + +/en)`` with a null-safe
+    ``coalesce(w._i, 0)`` for the pre-update value (the outer lookup's
+    default switches to NULL). The translator rejects every other monoid
+    over tuples except ``argmin``, which is intrinsically tuple-typed
+    and is left alone."""
 
     lookups: set = set()
 
     def rewrite(t):
-        if isinstance(t, BinOp) and t.op in IDENTITY and t.op != "argmin":
+        if isinstance(t, BinOp) and t.op == "+":
             rhs = t.right
             items = None
             if isinstance(rhs, Agg) and rhs.monoid == t.op and isinstance(rhs.expr, TupleT):
@@ -255,7 +256,7 @@ def _expand_tuple_monoids(c: Comp) -> Comp:
                 items = list(rhs.items)
             if items is not None:
                 w = t.left
-                ident = Const(IDENTITY[t.op])
+                ident = Const(IDENTITY["+"])
                 if isinstance(w, Var):
                     lookups.add(w.name)
                 return TupleT(tuple(

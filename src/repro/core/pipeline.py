@@ -37,11 +37,9 @@ def compile_program(src: str, extern_types: dict | None = None) -> Compiled:
     """
     ast = parse(src)
     check_program(ast)
-    code, types = translate_program(ast)
+    code, types = translate_program(ast, extern_types)
     code = normalize_code(code)
     code = optimize_code(code)
-    if extern_types:
-        types = {**extern_types, **types}
     return Compiled(code, types, src)
 
 

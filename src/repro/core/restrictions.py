@@ -196,11 +196,7 @@ def _collect(stmt, context, iter_vars, elems, counter) -> None:
     elif isinstance(stmt, SIf):
         readers: list = []
         _expr_readers(stmt.cond, iter_vars, readers)
-        if readers:
-            # condition reads participate in dependence checks for both
-            # branches: attach them as an aggregator-free pseudo-read by
-            # prefixing each branch's elementary statements.
-            pass
+        # condition reads take part in both branches' dependence checks
         for br in (stmt.then, stmt.els):
             if br is not None:
                 start = len(elems)

@@ -100,10 +100,11 @@ def map_code(code: list, f) -> list:
 class Translator:
     """Stateful translator; tracks which names are comprehension-bound
     (loop indexes, for-in element variables, if-condition bindings)
-    versus program state, and collects declared types."""
+    versus program state, and collects the types of state: the extern
+    types it starts from, then each declaration's."""
 
-    def __init__(self):
-        self.types: dict = {}
+    def __init__(self, types: dict | None = None):
+        self.types: dict = dict(types or {})
 
     # ------------------------------------------------------------- E[e]
     def E(self, e, bound: frozenset):
@@ -172,7 +173,7 @@ class Translator:
             return self.S(A.SAssign(A.DVar(s.name), s.init), quals, bound)
 
         if isinstance(s, A.SFor):  # rule 15d
-            if quals is not None and s.var in bound:
+            if s.var in bound:
                 raise TranslationError(f"duplicate loop index {s.var!r}")
             v1, v2 = fresh("lo"), fresh("hi")
             q = quals + (
@@ -230,6 +231,21 @@ class Translator:
         return TAssign(dest.array, Merge(StateRef(dest.array), comp))  # rule 14c
 
     def _incr(self, dest, monoid, expr, quals: tuple, bound: frozenset):
+        name = dest.name if isinstance(dest, A.DVar) else dest.array
+        t = self.types.get(name)
+        elem = t.elem if isinstance(t, A.TArray) else t
+        if monoid not in ("+", "argmin") and (
+            isinstance(elem, (A.TTuple, A.TRecord)) or isinstance(expr, A.ETuple)
+        ):
+            # the engines would disagree: the interpreter orders tuples as
+            # wholes, the tuple rewrite in optimize.py works componentwise
+            raise TranslationError(
+                f"{name} {monoid}= with a tuple or record value: only += "
+                f"(componentwise) and argmin= combine tuples or records"
+            )
+        if monoid == "+" and isinstance(elem, A.TTuple) and not isinstance(expr, A.ETuple):
+            # a tuple literal, so the optimizer can sum it componentwise
+            expr = A.ETuple(tuple(A.EProj(expr, f"_{i + 1}") for i in range(len(elem.items))))
         v, w = fresh("v"), fresh("w")
         if isinstance(dest, A.DVar):
             # group-by over the unit key (); rule 16 later removes it
@@ -257,10 +273,10 @@ class Translator:
         return TAssign(dest.array, Merge(StateRef(dest.array), comp))
 
 
-def translate_program(program: A.SBlock):
+def translate_program(program: A.SBlock, extern_types: dict | None = None):
     """Translate a whole program. Returns ``(target_code, types)`` where
-    target_code is a list of TInit/TAssign/TWhile and types maps declared
-    names to their source types."""
-    tr = Translator()
+    target_code is a list of TInit/TAssign/TWhile and types maps the
+    extern and declared names to their source types (a declaration wins)."""
+    tr = Translator(extern_types)
     code = tr.S(program, (), frozenset())
     return code, tr.types

@@ -2,11 +2,14 @@
 array is one full outer join, a merge into a just-initialised array is
 the new bag alone, and a ``while`` loop checkpoints its carried arrays
 only before an iteration that reads them."""
+import re
+
 import pytest
 
 from repro.core import ast as A
 from repro.core.convert import approx_dict_equal, df_to_dict, dict_to_df
 from repro.core.pipeline import compile_program, run_program
+from repro.core.translate import TranslationError
 from repro.programs.handwritten import HANDWRITTEN
 from repro.programs.suite import BY_NAME, build_envs
 from tests.test_backend_sql import _same, three_engines
@@ -76,6 +79,30 @@ def test_scalar_bool_monoids(spark):
           "for v in V do { a &&= v > 0.0; o ||= v > 5.0; e &&= v > -5.0; };"
     for env in three_engines(spark, src, {"V": {0: 1.0, 1: -2.0, 2: 9.0}}, {"V": VEC_D}):
         assert (env["a"], env["o"], env["e"]) == (False, True, True)
+
+
+# Only += (componentwise) and argmin= combine tuples: the interpreter
+# ordered tuples as wholes and the other engines componentwise.
+TUPLE_V, VEC_LL = {0: (1, 5), 1: (2, 3)}, A.TArray(1, A.TTuple((L, L)))
+DECL_M = "var M: vector[(long, long)] = vector(); "
+
+
+@pytest.mark.parametrize("src,dest", [
+    (DECL_M + "M[0] := (100, 100); for i = 0, 1 do M[0] min= (V[i]._1, V[i]._2);", "M min="),
+    (DECL_M + "for i = 0, 1 do M[0] min= (V[i]._1, V[i]._2);", "M min="),
+    ("var s: (long, long) = (100, 100); for i = 0, 1 do s min= V[i];", "s min="),
+] + [(DECL_M + f"for i = 0, 1 do M[i] {op} V[i];", f"M {op}") for op in ("max=", "*=", "&&=", "||=")],
+    ids=["existing-array", "fresh-array", "scalar", "max", "product", "and", "or"])
+def test_tuple_monoids_other_than_sum_are_rejected(src, dest):
+    with pytest.raises(TranslationError, match=re.escape(dest) + " with a tuple"):
+        compile_program(src, {"V": VEC_LL})
+
+
+def test_tuple_sum_agrees(spark):
+    src = DECL_M + "var s: (long, long) = (100, 100); M[0] := (100, 100); " \
+        "for i = 0, 1 do { M[0] += (V[i]._1, V[i]._2); M[1] += V[i]; s += V[i]; };"
+    for env in three_engines(spark, src, {"V": TUPLE_V}, {"V": VEC_LL}):
+        assert _same(env["M"], {0: (103, 108), 1: (3, 8)}) and _same(env["s"], (103, 108))
 
 
 def test_update_of_existing_array_is_one_join(spark):
