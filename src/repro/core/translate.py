@@ -234,14 +234,16 @@ class Translator:
         name = dest.name if isinstance(dest, A.DVar) else dest.array
         t = self.types.get(name)
         elem = t.elem if isinstance(t, A.TArray) else t
-        if monoid not in ("+", "argmin") and (
+        allowed = ("argmin",) if isinstance(elem, A.TRecord) else ("+", "argmin")
+        if monoid not in allowed and (
             isinstance(elem, (A.TTuple, A.TRecord)) or isinstance(expr, A.ETuple)
         ):
             # the engines would disagree: the interpreter orders tuples as
             # wholes, the tuple rewrite in optimize.py works componentwise
+            # and over tuples only (Spark cannot sum a record's struct)
             raise TranslationError(
                 f"{name} {monoid}= with a tuple or record value: only += "
-                f"(componentwise) and argmin= combine tuples or records"
+                f"(componentwise, tuples only) and argmin= combine tuples or records"
             )
         if monoid == "+" and isinstance(elem, A.TTuple) and not isinstance(expr, A.ETuple):
             # a tuple literal, so the optimizer can sum it componentwise

@@ -5,7 +5,7 @@ in our loop language, with input generators at two sizes:
   interpreter (the PageRank/MatMul loops are O(N²)/O(N³) when run
   literally);
 * ``bench`` — Table 2 scale, sized so ``jobs/paper_tables.py`` runs in
-  about 14 minutes on 4 cores.
+  about 22 minutes on 4 cores.
 
 Each program declares which paper tables it appears in and which state
 variables constitute its result.
@@ -238,27 +238,27 @@ def _words(n_tiny, n_bench, **kw):
 
 
 def _equal_inputs(size):
-    n = 60 if size == "tiny" else 4_000_000
+    n = 60 if size == "tiny" else 8_000_000
     return {"W": sd.equal_words(n)}
 
 
 def _pixels_inputs(size):
-    n = 80 if size == "tiny" else 2_000_000
+    n = 80 if size == "tiny" else 4_000_000
     return {"P": sd.pixels(n)}
 
 
 def _gb_inputs(size):
-    n = 100 if size == "tiny" else 1_000_000
+    n = 100 if size == "tiny" else 2_000_000
     return {"V": sd.gb_pairs(n)}
 
 
 def _linreg_inputs(size):
-    n = 100 if size == "tiny" else 2_500_000
+    n = 100 if size == "tiny" else 5_000_000
     return {"P": sd.linreg_points(n), "n": float(n)}
 
 
 def _matadd_inputs(size):
-    n = 8 if size == "tiny" else 700
+    n = 8 if size == "tiny" else 1000
     return {
         "M": sd.dense_matrix(n, n, seed=10),
         "N": sd.dense_matrix(n, n, seed=11),
@@ -267,7 +267,7 @@ def _matadd_inputs(size):
 
 
 def _matmul_inputs(size):
-    n = 6 if size == "tiny" else 120
+    n = 6 if size == "tiny" else 150
     return {
         "M": sd.dense_matrix(n, n, seed=12),
         "N": sd.dense_matrix(n, n, seed=13),
@@ -284,7 +284,7 @@ def _pagerank_inputs(size):
     if size == "tiny":
         nv, ne = 25, 80
     else:
-        nv, ne = 75_000, 750_000
+        nv, ne = 150_000, 1_500_000
     return {
         "E": sd.rmat_edges(nv, ne),
         "N": nv,
@@ -294,7 +294,7 @@ def _pagerank_inputs(size):
 
 
 def _kmeans_inputs(size):
-    n = 60 if size == "tiny" else 20_000
+    n = 60 if size == "tiny" else 40_000
     return {
         "P": sd.kmeans_points(n),
         "C": sd.kmeans_centroids(),
@@ -305,7 +305,7 @@ def _kmeans_inputs(size):
 
 
 def _matfact_inputs(size):
-    n = 8 if size == "tiny" else 1100
+    n = 8 if size == "tiny" else 1600
     l = 2
     return {
         "R": sd.ratings(n, n, seed=20),
@@ -333,7 +333,7 @@ PROGRAMS = [
     Program("Conditional Count", COND_COUNT_SRC, _flat(sd.doubles, 50, 2_000_000),
             ["cnt"], ("t1",),
             paper_t1={"mold": None, "casper": 20.25, "diablo": 5.75}),
-    Program("Conditional Sum", COND_SUM_SRC, _flat(sd.doubles, 50, 2_000_000),
+    Program("Conditional Sum", COND_SUM_SRC, _flat(sd.doubles, 50, 4_000_000),
             ["sum"], ("t1", "t2"),
             paper_t1={"mold": None, "casper": 18.75, "diablo": 5.25},
             paper_t2={"par": 19.6, "seq": 40.6}),
@@ -343,11 +343,11 @@ PROGRAMS = [
     Program("Equal Frequency", EQUAL_FREQ_SRC, _words(80, 1_000_000),
             ["eqf", "mx", "mn"], ("t1",),
             paper_t1={"mold": None, "casper": 778.00, "diablo": 5.75}),
-    Program("String Match", STRING_MATCH_SRC, _words(80, 3_000_000),
+    Program("String Match", STRING_MATCH_SRC, _words(80, 6_000_000),
             ["b1", "b2", "b3"], ("t1", "t2"),
             paper_t1={"mold": 68, "casper": 806.00, "diablo": 8.50},
             paper_t2={"par": 8.3, "seq": 32.6}),
-    Program("Word Count", WORD_COUNT_SRC, _words(80, 4_000_000), ["C"],
+    Program("Word Count", WORD_COUNT_SRC, _words(80, 8_000_000), ["C"],
             ("t1", "t2"),
             paper_t1={"mold": 11, "casper": 102.25, "diablo": 6.50},
             paper_t2={"par": 57.1, "seq": 69.4}),

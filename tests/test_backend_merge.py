@@ -98,6 +98,13 @@ def test_tuple_monoids_other_than_sum_are_rejected(src, dest):
         compile_program(src, {"V": VEC_LL})
 
 
+def test_record_sum_is_rejected():
+    # no engine sums records componentwise; Spark would sum a struct
+    rec = A.TArray(1, A.TRecord((("red", L), ("green", L))))
+    with pytest.raises(TranslationError, match=re.escape("Q += with a tuple or record")):
+        compile_program("for i = 0, 1 do Q[0] += P[i];", {"P": rec, "Q": rec})
+
+
 def test_tuple_sum_agrees(spark):
     src = DECL_M + "var s: (long, long) = (100, 100); M[0] := (100, 100); " \
         "for i = 0, 1 do { M[0] += (V[i]._1, V[i]._2); M[1] += V[i]; s += V[i]; };"
