@@ -65,7 +65,6 @@ from .comprehension import (
     show,
     state_refs,
 )
-from .monoids import IDENTITY
 from .plan import Filter, GroupBy, Join, Let, Scan, Total, compile_term, plan, run_driver
 from .translate import TAssign, TInit, TWhile
 
@@ -336,17 +335,9 @@ def _source_sql(src, env: dict, qb: _Query, bindings: dict) -> str:
     return f"range({_lit(lo)}, {_lit(hi + 1)}) AS {qb.alias()}({_id(src.name)})"
 
 
-def _agg_items(aggs: tuple, env: dict, total: bool) -> list:
-    """Select items of ``(name, monoid, expr)`` reductions. A total
-    aggregation is coalesced with the monoid identity so an empty input
-    bag aggregates to the identity instead of NULL."""
-    items = []
-    for n, m, e in aggs:
-        c = _agg_sql(m, to_sql(e, env))
-        if total and IDENTITY.get(m) is not None:
-            c = f"coalesce({c}, {_lit(IDENTITY[m])})"
-        items.append(f"{c} AS {_id(n)}")
-    return items
+def _agg_items(aggs: tuple, env: dict) -> list:
+    """Select items of ``(name, monoid, expr)`` reductions."""
+    return [f"{_agg_sql(m, to_sql(e, env))} AS {_id(n)}" for n, m, e in aggs]
 
 
 def _relation(comp: Comp, env: dict, qb: _Query):
@@ -381,11 +372,11 @@ def _relation(comp: Comp, env: dict, qb: _Query):
         elif isinstance(st, GroupBy):
             fr.select(qb, fr.with_cols({n: to_sql(k, env) for n, k in zip(st.names, st.keys)}))
             keys = ", ".join(map(_id, st.names))
-            fr.select(qb, [keys] + _agg_items(st.aggs, env, total=False), f" GROUP BY {keys}")
+            fr.select(qb, [keys] + _agg_items(st.aggs, env), f" GROUP BY {keys}")
             fr.cols = list(st.names) + [n for n, _, _ in st.aggs]
         elif isinstance(st, Total):
             # rule 16 removed a constant-key group-by
-            fr.select(qb, _agg_items(st.aggs, env, total=True))
+            fr.select(qb, _agg_items(st.aggs, env))
             fr.cols = [n for n, _, _ in st.aggs]
         else:
             # rule 15a's lookup of the pre-update value is lowered with
@@ -524,16 +515,8 @@ def _update_sql(old: DataFrame, comp: Comp, env, qb: _Query, ndims: int):
         return None
     fr, head = res
     exprs = [to_sql(x, env) for x in head.items]
-    default = look.default.value if isinstance(look.default, Const) else None
+    default = to_sql(look.default, env)
     types = _FRESH.get(old)
-    if default in (IDENTITY["min"], IDENTITY["max"]):
-        # least/greatest skip NULLs, so a missed lookup of a long array
-        # needs no ±inf identity, a double that would make it double; a
-        # double array keeps it, which orders below a NaN update
-        elem = types[-1] if types else _sql_type(old.schema[-1].dataType)
-        if elem != "DOUBLE":
-            default = None
-    default = _lit(default)
     if types:
         fr.select(qb, fr.with_cols({look.var: f"coalesce(CAST(NULL AS {types[-1]}), {default})"}))
         return _fresh_sql(types, exprs, fr.src)

@@ -2,21 +2,26 @@
 Section 3.3), defined once for every engine.
 
 * ``IDENTITY`` maps each ⊕-monoid of an incremental update to its
-  identity (``argmin``'s is "absent", ``None``);
+  identity (``argmin``'s is "absent", ``None``); ``identity`` gives it
+  for an element type;
 * ``BIN`` maps each binary operator, the monoids included, to its Python
   function;
 * ``CALLS`` maps each built-in function to its Python function.
 
 The interpreter, the sequential engine and the Spark engine's
-driver-side values compute with these tables, the translator and the
-optimizer take their identities from ``IDENTITY``, and normalization
-folds constants with ``BIN``. The Spark engine spells the same
+driver-side values compute with these tables, and normalization folds
+constants with ``BIN``. The translator writes each update's identity
+into the IR itself (``identity``), so neither engine reads
+``IDENTITY``; the interpreter does. The Spark engine spells the same
 operators in SQL; where Spark's meaning is the reference (NaN orders
-above every double in ``min``/``max``), the functions here follow it.
+above every double in ``min``, ``max`` and ``argmin``), the functions
+here follow it.
 """
 from __future__ import annotations
 
 import math
+
+from .ast import TBasic
 
 IDENTITY = {
     "+": 0,
@@ -27,6 +32,18 @@ IDENTITY = {
     "||": False,
     "argmin": None,
 }
+
+
+LONG_MIN, LONG_MAX = -(2**63), 2**63 - 1
+
+
+def identity(monoid: str, elem=None):
+    """The identity of ``monoid`` over elements of type ``elem``: a
+    long's bounds for ``min``/``max`` over ``long`` (an infinity is a
+    double, and would make the result one), else ``IDENTITY[monoid]``."""
+    if elem == TBasic("long") and monoid in ("min", "max"):
+        return LONG_MAX if monoid == "min" else LONG_MIN
+    return IDENTITY[monoid]
 
 
 def _plus(a, b):
@@ -54,12 +71,13 @@ def _max(a, b):
 
 
 def _argmin(a, b):
-    """Keep the pair with the smaller ``_2``; ``None`` is the identity."""
+    """Keep the pair with the smaller ``_2``, NaN ordered above every
+    double as by ``_min``; ``None`` is the identity."""
     if a is None:
         return b
     if b is None:
         return a
-    return a if a[1] <= b[1] else b
+    return a if a[1] <= b[1] or b[1] != b[1] else b
 
 
 BIN = {

@@ -25,18 +25,14 @@ from __future__ import annotations
 import itertools
 
 from .comprehension import (
-    Agg,
     BinOp,
-    Call,
     Comp,
     Cond,
-    Const,
     Generator,
     GroupByQ,
     InRange,
     LetQ,
     OuterLookup,
-    Proj,
     PTuple,
     PVar,
     RangeT,
@@ -49,7 +45,6 @@ from .comprehension import (
     subst,
     unagg,
 )
-from .monoids import IDENTITY
 from .normalize import norm_term
 from .translate import map_code
 
@@ -232,56 +227,6 @@ def _groupby_rules(c: Comp) -> Comp:
     return c
 
 
-def _expand_tuple_monoids(c: Comp) -> Comp:
-    """Rewrite tuple-valued sums into per-component scalar ones.
-
-    An incremental update with a tuple value (the paper's ``Avg``-style
-    monoid, e.g. ``avg[k] += (x, y, 1)``) produces a head term
-    ``w + (+/ (e1, …, en))``. Backends only aggregate scalars, so this
-    becomes ``(w._1 + +/e1, …, w._n + +/en)`` with a null-safe
-    ``coalesce(w._i, 0)`` for the pre-update value (the outer lookup's
-    default switches to NULL). The translator rejects every other monoid
-    over tuples except ``argmin``, which is intrinsically tuple-typed
-    and is left alone."""
-
-    lookups: set = set()
-
-    def rewrite(t):
-        if isinstance(t, BinOp) and t.op == "+":
-            rhs = t.right
-            items = None
-            if isinstance(rhs, Agg) and rhs.monoid == t.op and isinstance(rhs.expr, TupleT):
-                items = [Agg(t.op, x) for x in rhs.expr.items]
-            elif isinstance(rhs, TupleT):  # rule 17 already removed the Agg
-                items = list(rhs.items)
-            if items is not None:
-                w = t.left
-                ident = Const(IDENTITY["+"])
-                if isinstance(w, Var):
-                    lookups.add(w.name)
-                return TupleT(tuple(
-                    BinOp(
-                        t.op,
-                        Call("coalesce", (Proj(w, f"_{i + 1}"), ident)),
-                        x,
-                    )
-                    for i, x in enumerate(items)
-                ))
-        # the value sits under the head's tuple and monoid operators
-        return map_terms(t, rewrite) if isinstance(t, (BinOp, TupleT)) else t
-
-    head = rewrite(c.head)
-    if head == c.head:
-        return c
-    quals = tuple(
-        OuterLookup(q.var, q.array, q.key, Const(None))
-        if isinstance(q, OuterLookup) and q.var in lookups
-        else q
-        for q in c.quals
-    )
-    return Comp(head, quals)
-
-
 def optimize_term(t):
     """Apply all optimizations bottom-up, then re-normalize."""
     t = map_terms(t, optimize_term)
@@ -290,7 +235,6 @@ def optimize_term(t):
     t = _eliminate_ranges(t)
     t = _eliminate_self_joins(t)
     t = _groupby_rules(t)
-    t = _expand_tuple_monoids(t)
     return norm_term(t)
 
 

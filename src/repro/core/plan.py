@@ -129,7 +129,8 @@ class Lookup:
 @dataclass(frozen=True)
 class Total:
     """Reduce the whole relation to one row of ``(name, monoid, expr)``
-    reductions, each the monoid's identity over an empty relation."""
+    reductions, each NULL over an empty relation, as in SQL (the
+    translator's head falls back to the monoid's identity)."""
 
     aggs: tuple
 

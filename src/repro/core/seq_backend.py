@@ -11,9 +11,11 @@ backend is the sequential *bulk* evaluation.
 """
 from __future__ import annotations
 
+from functools import reduce
+
 from . import ast as A
 from .comprehension import Comp, Merge, StateRef, show
-from .monoids import BIN, IDENTITY
+from .monoids import BIN
 from .plan import (
     Filter,
     GroupBy,
@@ -54,9 +56,14 @@ def _source(src, env, b) -> list:
     return [{src.name: v} for v in range(lo, hi + 1)]
 
 
-def _fold(aggs, env):
-    """The accumulator functions of ``(name, monoid, expr)`` reductions."""
-    return [(n, BIN[m], IDENTITY[m], compile_term(e, env)) for n, m, e in aggs]
+def _folds(aggs, env) -> list:
+    """``(name, fold)`` of each ``(name, monoid, expr)`` reduction, where
+    ``fold(rows)`` folds ``expr`` over the rows from the first one and is
+    None over no rows, as SQL's aggregates are."""
+    def fold(op, f):
+        return lambda rows: reduce(op, map(f, rows)) if rows else None
+
+    return [(n, fold(BIN[m], compile_term(e, env))) for n, m, e in aggs]
 
 
 def eval_comp(comp: Comp, env: dict):
@@ -100,18 +107,13 @@ def eval_comp(comp: Comp, env: dict):
                 bind(r, st.names, f(r))
         elif isinstance(st, GroupBy):
             kfs = [compile_term(k, env) for k in st.keys]
-            folds = _fold(st.aggs, env)
             groups: dict = {}
             for r in rows:
-                k = tuple(f(r) for f in kfs)
-                acc = groups.get(k)
-                if acc is None:
-                    acc = groups[k] = [ident for _, _, ident, _ in folds]
-                for j, (_, op, _, f) in enumerate(folds):
-                    acc[j] = op(acc[j], f(r))
+                groups.setdefault(tuple(f(r) for f in kfs), []).append(r)
+            folds = _folds(st.aggs, env)
             rows = [
-                {**dict(zip(st.names, k)), **{n: a for (n, _, _, _), a in zip(folds, acc)}}
-                for k, acc in groups.items()
+                {**dict(zip(st.names, k)), **{n: fold(g) for n, fold in folds}}
+                for k, g in groups.items()
             ]
         elif isinstance(st, Lookup):
             arr = env[st.array]
@@ -119,12 +121,7 @@ def eval_comp(comp: Comp, env: dict):
             for r in rows:
                 r[st.var] = _get(arr, tuple(f(r) for f in kfs), st.default)
         elif isinstance(st, Total):
-            folds = _fold(st.aggs, env)
-            acc = {n: ident for n, _, ident, _ in folds}
-            for r in rows:
-                for n, op, _, f in folds:
-                    acc[n] = op(acc[n], f(r))
-            rows = [acc]
+            rows = [{n: fold(rows) for n, fold in _folds(st.aggs, env)}]
         else:
             raise SeqError(f"unknown plan step {st!r}")
     return rows, p.head

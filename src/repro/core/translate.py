@@ -7,7 +7,9 @@ Implements the semantic functions of the paper:
 * ``K[d]``   (rules 12a–12c) — destination index expressions;
 * ``D[d](k)``(rules 13a–13c) — fetch the current destination value —
   emitted as an :class:`~repro.core.comprehension.OuterLookup` with the
-  ⊕-monoid identity as default (see DESIGN.md);
+  ⊕-monoid's identity for the destination's element type as default
+  (``monoids.identity``; NULL for a componentwise tuple sum, see
+  DESIGN.md);
 * ``U[d](x)``(rules 14a–14c) — rebuild the destination: scalars are
   assigned the bag ``x`` directly, arrays become ``V := V ⊲ x``;
 * ``S[s](q̄)``(rules 15a–15h) — statements, with for-loops pushed into
@@ -48,7 +50,7 @@ from .comprehension import (
     Var,
     fresh,
 )
-from .monoids import IDENTITY
+from .monoids import identity
 
 
 # ----------------------------------------------------------- target code
@@ -239,16 +241,36 @@ class Translator:
             isinstance(elem, (A.TTuple, A.TRecord)) or isinstance(expr, A.ETuple)
         ):
             # the engines would disagree: the interpreter orders tuples as
-            # wholes, the tuple rewrite in optimize.py works componentwise
-            # and over tuples only (Spark cannot sum a record's struct)
+            # wholes, the update below works componentwise and over tuples
+            # only (Spark cannot sum a record's struct)
             raise TranslationError(
                 f"{name} {monoid}= with a tuple or record value: only += "
                 f"(componentwise, tuples only) and argmin= combine tuples or records"
             )
-        if monoid == "+" and isinstance(elem, A.TTuple) and not isinstance(expr, A.ETuple):
-            # a tuple literal, so the optimizer can sum it componentwise
-            expr = A.ETuple(tuple(A.EProj(expr, f"_{i + 1}") for i in range(len(elem.items))))
         v, w = fresh("v"), fresh("w")
+        ident = identity(monoid, elem)
+
+        def update(old, new):
+            # old ⊕ ⊕/new; a total aggregation (a scalar's, after rule 16)
+            # is NULL over no rows, so it falls back to the identity here
+            agg = Agg(monoid, new)
+            if isinstance(dest, A.DVar) and ident is not None:
+                agg = Call("coalesce", (agg, Const(ident)))
+            return BinOp(monoid, old, agg)
+
+        arity = (len(elem.items) if isinstance(elem, A.TTuple)
+                 else len(expr.items) if isinstance(expr, A.ETuple) else 0)
+        if monoid == "+" and arity:
+            # componentwise, as the engines sum scalars only; a missed
+            # lookup is NULL, which each component reads as 0
+            default = None
+            value = TupleT(tuple(
+                update(Call("coalesce", (Proj(Var(w), f"_{i}"), Const(ident))),
+                       Proj(Var(v), f"_{i}"))
+                for i in range(1, arity + 1)
+            ))
+        else:
+            default, value = ident, update(Var(w), Var(v))
         if isinstance(dest, A.DVar):
             # group-by over the unit key (); rule 16 later removes it
             k = fresh("k")
@@ -257,8 +279,7 @@ class Translator:
                 GroupByQ(PVar(k), TupleT(())),
                 LetQ(PVar(w), StateRef(dest.name)),  # D[v](()) = {v}, rule 13a
             )
-            head = BinOp(monoid, Var(w), Agg(monoid, Var(v)))
-            return TAssign(dest.name, Comp(head, q))
+            return TAssign(dest.name, Comp(value, q))
         ks = [fresh("k") for _ in dest.indexes]
         q = list(quals)
         q.append(Generator(PVar(v), self.E(expr, bound)))
@@ -267,10 +288,8 @@ class Translator:
         key_pat = PTuple(tuple(PVar(k) for k in ks)) if len(ks) > 1 else PVar(ks[0])
         key = TupleT(tuple(Var(k) for k in ks)) if len(ks) > 1 else Var(ks[0])
         q.append(GroupByQ(key_pat, key))
-        q.append(OuterLookup(w, dest.array, key, Const(IDENTITY[monoid])))
-        head = TupleT(
-            tuple(Var(k) for k in ks) + (BinOp(monoid, Var(w), Agg(monoid, Var(v))),)
-        )
+        q.append(OuterLookup(w, dest.array, key, Const(default)))
+        head = TupleT(tuple(Var(k) for k in ks) + (value,))
         comp = Comp(head, tuple(q))
         return TAssign(dest.array, Merge(StateRef(dest.array), comp))
 

@@ -43,6 +43,9 @@ UPDATES = [
      [3.0, 1.0, 0.5, 0.2, 0.3], 1),
     ("argmin=", A.TTuple((L, D)), {(0, 0): (9, 0.5), (1, 1): (8, 0.1), (5, 5): (1, 1.0)},
      [0.1, 1.0, 0.5, 0.2, 0.3], 2),
+    # key 2 reduces a NaN score, key 1 combines its old pair with one
+    ("argmin=", A.TTuple((L, D)), {0: (9, 0.5), 1: (8, 0.1), 5: (1, 1.0)},
+     [3.0, 1.0, NAN, 0.2, NAN], 1),
     # Spark orders NaN above every double
     ("max=", D, {0: 2.0, 1: -1.0, 5: 0.0}, [NAN, 1.0, 3.0, 4.0, 0.5], 1),
     ("min=", D, {0: NAN, 1: -1.0, 5: 0.0}, [3.0, 1.0, NAN, 4.0, 0.5], 1),
@@ -58,7 +61,8 @@ UPDATES = [
 @pytest.mark.parametrize(
     "op,elem,old,values,ndims", UPDATES,
     ids=["sum-1d", "sum-2d", "min-1d", "max-2d", "long-product-1d", "argmin-1d", "argmin-2d",
-         "max-nan-1d", "min-nan-1d", "min-only-nan-1d", "max-only-nan-1d", "and-1d", "or-2d"],
+         "argmin-nan-1d", "max-nan-1d", "min-nan-1d", "min-only-nan-1d", "max-only-nan-1d",
+         "and-1d", "or-2d"],
 )
 def test_update_of_existing_array_agrees(spark, op, elem, old, values, ndims):
     interp, seq, sp = three_engines(spark, *_update(op, elem, old, values, ndims))
@@ -141,7 +145,7 @@ def test_fresh_double_array_min_max_of_only_nan(spark, op, want):
 
 
 def test_fresh_long_array_max_stays_long(spark):
-    # the max identity is -inf, a double; a missed lookup is NULL instead
+    # a missed lookup is a long's lower bound, not -inf, a double
     src = "var M: vector[long] = vector(); for v in V do M[v % 2] max= v;"
     for env in three_engines(spark, src, {"V": {0: 3, 1: -4, 2: 8}}, {"V": VEC_L}):
         assert _same(env["M"], {0: 8, 1: 3})

@@ -1,0 +1,100 @@
+"""Monoid identities and reductions: each reduction means the same on
+Spark and in the sequential engine, over edge values and the empty bag,
+and the identity each update falls back to keeps the destination's
+type."""
+import pytest
+from pyspark.sql import types as T
+
+from repro.core import ast as A
+from repro.core.backend import _agg_sql, py_value, spark_type
+from repro.core.comprehension import Var
+from repro.core.monoids import IDENTITY, LONG_MAX, LONG_MIN
+from repro.core.pipeline import compile_program, run_program
+from repro.core.seq_backend import _folds
+from repro.programs.suite import BY_NAME, build_envs
+from tests.test_backend_sql import _same, three_engines
+
+L, D, B = A.TBasic("long"), A.TBasic("double"), A.TBasic("bool")
+NAN, INF = float("nan"), float("inf")
+NUMERIC = ("+", "*", "min", "max")
+
+# (id, element type, bag, monoids reduced over it). Left out: long
+# overflow (its contract is open) and argmin ties (Spark's min_by may
+# keep any of them).
+BAGS = [
+    ("long-mixed", L, [3, -7, 0, 12, -1], NUMERIC),
+    ("long-bounds", L, [LONG_MAX, 0, LONG_MIN], ("+", "min", "max")),
+    ("long-max", L, [LONG_MAX, 1], ("*", "min", "max")),
+    ("long-empty", L, [], NUMERIC),
+    ("double-mixed", D, [1.5, -2.25, 0.0, -0.0, 4.0], NUMERIC),
+    ("double-nan", D, [1.0, NAN, -3.0], NUMERIC),
+    ("double-inf", D, [INF, -2.0, -INF], NUMERIC),
+    ("double-only-nan", D, [NAN], NUMERIC),
+    ("double-empty", D, [], NUMERIC),
+    ("bool-mixed", B, [True, False, True], ("&&", "||")),
+    ("bool-true", B, [True, True], ("&&", "||")),
+    ("bool-empty", B, [], ("&&", "||")),
+    ("argmin", A.TTuple((L, D)), [(1, 0.5), (2, -1.5), (3, 2.0)], ("argmin",)),
+    ("argmin-nan-last", A.TTuple((L, D)), [(1, 3.0), (2, NAN), (3, INF)], ("argmin",)),
+    ("argmin-nan-first", A.TTuple((L, D)), [(2, NAN), (1, -INF)], ("argmin",)),
+    ("argmin-empty", A.TTuple((L, D)), [], ("argmin",)),
+]
+
+
+def test_bags_cover_every_monoid():
+    assert {m for *_, ms in BAGS for m in ms} == IDENTITY.keys()
+
+
+@pytest.mark.parametrize("elem,bag,monoids", [b[1:] for b in BAGS], ids=[b[0] for b in BAGS])
+def test_reduction_agrees_on_spark_and_seq(spark, elem, bag, monoids):
+    df = spark.createDataFrame([(x,) for x in bag], T.StructType([T.StructField("x", spark_type(elem))]))
+    df.createOrReplaceTempView("_monoid_bag")
+    items = ", ".join(f"{_agg_sql(m, '`x`')} AS `r{i}`" for i, m in enumerate(monoids))
+    row = spark.sql(f"SELECT {items} FROM `_monoid_bag`").collect()[0]
+    spark.catalog.dropTempView("_monoid_bag")
+    folds = _folds(tuple((f"r{i}", m, Var("x")) for i, m in enumerate(monoids)), {})
+    rows = [{"x": x} for x in bag]
+    for (n, fold), m in zip(folds, monoids):
+        got, want = py_value(row[n]), fold(rows)
+        assert _same(got, want), f"{m}/{bag}: spark {got!r}, seq {want!r}"
+        if not bag:
+            assert want is None  # NULL over no rows, as SQL aggregates
+
+
+BIG = 2**53 + 1  # no double holds it, nor BIG + 2
+
+
+def test_long_scalar_min_max_stay_exact(spark):
+    # a long's min/max identity is a bound of long; an infinity would make
+    # Spark's answer a double, 2**53
+    src = f"var m: long = 0; var n: long = {10**18}; for v in V do {{ m max= v; n min= v; }};"
+    for env in three_engines(spark, src, {"V": {0: BIG, 1: BIG + 2}}, {"V": A.TArray(1, L)}):
+        assert _same(env["m"], BIG + 2) and _same(env["n"], BIG)
+
+
+def test_equal_frequency_extremes_are_longs_on_spark(spark):
+    prog = BY_NAME["Equal Frequency"]
+    env, _, types = build_envs(prog, "tiny", spark)
+    out = run_program(compile_program(prog.source, types), env, spark)
+    assert type(out["mx"]) is int and type(out["mn"]) is int
+    assert out["mx"] >= out["mn"] >= 1
+
+
+# (monoid, scalar type, initial value): the initial values differ from
+# every identity, so an update that combined a wrong one would show
+SCALARS = [(op, t, init) for t, init in ((L, 7), (D, 2.5)) for op in NUMERIC] + [
+    ("&&", B, True), ("||", B, False),
+]
+
+
+@pytest.mark.parametrize("filtered", [False, True], ids=["empty", "all-filtered"])
+@pytest.mark.parametrize("op,t,init", SCALARS, ids=[f"{op}-{t.name}" for op, t, _ in SCALARS])
+def test_scalar_update_over_no_rows_keeps_value_and_type(spark, op, t, init, filtered):
+    elem = L if t == B else t
+    upd = f"m {op}= {'v > 0' if t == B else 'v'};"
+    lit = str(init).lower() if t == B else str(init)
+    src = f"var m: {t.name} = {lit}; for v in V do " + (f"if (v > 100) {upd}" if filtered else upd)
+    bag = {0: 1, 1: 2} if elem == L else {0: 1.0, 1: 2.0}
+    for out in three_engines(spark, src, {"V": bag if filtered else {}}, {"V": A.TArray(1, elem)}):
+        assert _same(out["m"], init), src
+

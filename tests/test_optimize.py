@@ -1,5 +1,5 @@
-"""Optimizer: range elimination (Sec. 3.6), Rules 16/17 (Sec. 4),
-tuple-monoid expansion."""
+"""Optimizer: range elimination (Sec. 3.6), Rules 16/17 (Sec. 4), and
+the shape of the incremental updates it leaves."""
 from repro.core.comprehension import (
     Agg,
     BinOp,
@@ -103,8 +103,11 @@ def test_rule16_scalar_increment_drops_groupby():
     code, _ = compile_to("var s: double = 0.0; for v in V do s += v;")
     comp = code[1].term
     assert not any(isinstance(q, GroupByQ) for q in comp.quals)
-    # the total aggregation remains in the head
-    assert isinstance(comp.head, BinOp) and isinstance(comp.head.right, Agg)
+    # the total aggregation remains in the head, as w ⊕ coalesce(⊕/v, id):
+    # it is NULL over no rows
+    assert comp.head == BinOp(
+        "+", StateRef("s"), Call("coalesce", (Agg("+", Var("v")), Const(0)))
+    )
 
 
 def test_rule16_pure_scalar_increment():
