@@ -97,23 +97,13 @@ class Summary:
 
 # ------------------------------------------------------ program facts
 def _scan_expr(e, acc):
-    if isinstance(e, A.EConst):
-        (acc["strings"] if isinstance(e.value, str) else acc["consts"]).add(e.value)
-    elif isinstance(e, A.EProj):
-        acc["fields"].add(e.field)
-        _scan_expr(e.expr, acc)
-    elif isinstance(e, A.EBin):
-        _scan_expr(e.left, acc)
-        _scan_expr(e.right, acc)
-    elif isinstance(e, A.EUn):
-        _scan_expr(e.expr, acc)
-    elif isinstance(e, (A.ETuple, A.ECall)):
-        for x in (e.items if isinstance(e, A.ETuple) else e.args):
-            _scan_expr(x, acc)
-    elif isinstance(e, A.EIndex):
-        acc["indexed"] = True
-        for x in e.indexes:
-            _scan_expr(x, acc)
+    for x in A.walk(e):
+        if isinstance(x, A.EConst):
+            (acc["strings"] if isinstance(x.value, str) else acc["consts"]).add(x.value)
+        elif isinstance(x, A.EProj):
+            acc["fields"].add(x.field)
+        elif isinstance(x, A.EIndex):
+            acc["indexed"] = True
 
 
 def _walk(stmt, acc, in_forin):

@@ -16,9 +16,6 @@ this baseline is its *compile-time behaviour*, which Table 1 measures.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
 from repro.core import ast as A
 from repro.core.parser import parse
 
@@ -102,23 +99,10 @@ def _flat_body(stmt):
             return guard, stmt
 
 
-def _reads_only(expr, allowed_vars):
+def _reads_only(expr):
     """True if expr reads no arrays: only the loop variable and scalar
     state (which MOLD treats as broadcast values) may appear."""
-    if isinstance(expr, A.EConst):
-        return True
-    if isinstance(expr, A.EVar):
-        return True  # loop var or broadcast scalar
-    if isinstance(expr, A.EBin):
-        return _reads_only(expr.left, allowed_vars) and _reads_only(expr.right, allowed_vars)
-    if isinstance(expr, A.EUn):
-        return _reads_only(expr.expr, allowed_vars)
-    if isinstance(expr, A.EProj):
-        return _reads_only(expr.expr, allowed_vars)
-    if isinstance(expr, (A.ETuple, A.ECall)):
-        items = expr.items if isinstance(expr, A.ETuple) else expr.args
-        return all(_reads_only(x, allowed_vars) for x in items)
-    return False  # EIndex: array read
+    return not any(isinstance(x, A.EIndex) for x in A.walk(expr))
 
 
 def _t_scalar_fold(stmt):
@@ -128,9 +112,9 @@ def _t_scalar_fold(stmt):
     guard, body = _flat_body(stmt.body)
     if not (isinstance(body, A.SIncr) and isinstance(body.dest, A.DVar)):
         return None
-    if not _reads_only(body.expr, {stmt.var}):
+    if not _reads_only(body.expr):
         return None
-    if guard is not None and not _reads_only(guard, {stmt.var}):
+    if guard is not None and not _reads_only(guard):
         return None
     pred = f".filter({stmt.var} => <pred>)" if guard is not None else ""
     return (
@@ -146,9 +130,9 @@ def _t_keyed_fold(stmt):
     guard, body = _flat_body(stmt.body)
     if not (isinstance(body, A.SIncr) and isinstance(body.dest, A.DIndex)):
         return None
-    if not all(_reads_only(ix, {stmt.var}) for ix in body.dest.indexes):
+    if not all(_reads_only(ix) for ix in body.dest.indexes):
         return None
-    if not _reads_only(body.expr, {stmt.var}):
+    if not _reads_only(body.expr):
         return None
     return (
         f"{body.dest.array} = {_coll(stmt)}.map({stmt.var} => (<key>, <val>))"
@@ -170,21 +154,6 @@ def _nest(stmt):
     return idx, stmt
 
 
-def _array_reads(expr, out):
-    if isinstance(expr, A.EIndex):
-        out.append(expr)
-        for x in expr.indexes:
-            _array_reads(x, out)
-    elif isinstance(expr, A.EBin):
-        _array_reads(expr.left, out)
-        _array_reads(expr.right, out)
-    elif isinstance(expr, (A.EUn, A.EProj)):
-        _array_reads(expr.expr if isinstance(expr, A.EUn) else expr.expr, out)
-    elif isinstance(expr, (A.ETuple, A.ECall)):
-        for x in (expr.items if isinstance(expr, A.ETuple) else expr.args):
-            _array_reads(x, out)
-
-
 def _t_dense_map(stmt):
     """Range nest with an affine write whose reads are indexed by loop
     variables only  →  join/map."""
@@ -193,8 +162,7 @@ def _t_dense_map(stmt):
         return None
     if not isinstance(inner.dest, A.DIndex):
         return None
-    reads: list = []
-    _array_reads(inner.expr, reads)
+    reads = [x for x in A.walk(inner.expr) if isinstance(x, A.EIndex)]
     for r in reads:
         for ix in r.indexes:
             if not isinstance(ix, A.EVar) or ix.name not in idx:
@@ -235,11 +203,8 @@ def _t_dense_fold(stmt):
     idx, inner = _nest(stmt)
     if not idx or not isinstance(inner, A.SIncr):
         return None
-    reads: list = []
-    if isinstance(inner.dest, A.DIndex):
-        for ix in inner.dest.indexes:
-            _array_reads(ix, reads)
-    _array_reads(inner.expr, reads)
+    dest_ixs = inner.dest.indexes if isinstance(inner.dest, A.DIndex) else ()
+    reads = [x for e in (*dest_ixs, inner.expr) for x in A.walk(e) if isinstance(x, A.EIndex)]
     matrices = {r.array for r in reads if len(r.indexes) == 2}
     if len(matrices) > 1:
         return None  # e.g. PageRank's Q and C, MF's err/Pp/Qp — no template

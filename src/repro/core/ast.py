@@ -117,6 +117,31 @@ class ECall:
 
 Expr = Union[EVar, EConst, EBin, EUn, EIndex, EProj, ETuple, ECall]
 
+# The fields of each expression class that hold subexpressions (one, or
+# a tuple of them): the only code that knows them.
+SUBEXPR_FIELDS = {
+    EVar: (),
+    EConst: (),
+    EBin: ("left", "right"),
+    EUn: ("expr",),
+    EIndex: ("indexes",),
+    EProj: ("expr",),
+    ETuple: ("items",),
+    ECall: ("args",),
+}
+
+
+def walk(e):
+    """``e`` and all its subexpressions, in preorder."""
+    fields = SUBEXPR_FIELDS.get(type(e))
+    if fields is None:
+        raise TypeError(f"not an expression: {e!r}")
+    yield e
+    for f in fields:
+        v = getattr(e, f)
+        for x in v if isinstance(v, tuple) else (v,):
+            yield from walk(x)
+
 
 # --------------------------------------------------------- destinations
 @dataclass(frozen=True)

@@ -91,6 +91,15 @@ def spark_type(t) -> T.DataType:
     raise BackendError(f"no spark type for {t!r}")
 
 
+def array_schema(t: A.TArray) -> T.StructType:
+    """The columns ``_k1.._kn, _v`` of an array of type ``t``: a map's
+    key has its own type, every other index is a long."""
+    keys = [t.key if t.ndims == 1 else A.TBasic("long")] * t.ndims
+    return T.StructType([
+        T.StructField(c, spark_type(x)) for c, x in zip(_key_cols(t.ndims), keys + [t.elem])
+    ])
+
+
 def _sql_type(dt: T.DataType) -> str:
     if isinstance(dt, T.StructType):
         fields = ", ".join(f"{_id(f.name)}: {_sql_type(f.dataType)}" for f in dt.fields)
@@ -104,10 +113,7 @@ _FRESH: "weakref.WeakKeyDictionary[DataFrame, list]" = weakref.WeakKeyDictionary
 
 
 def empty_array(spark: SparkSession, t: A.TArray) -> DataFrame:
-    types = [
-        _sql_type(spark_type(t.key if i == 0 and t.ndims == 1 else A.TBasic("long")))
-        for i in range(t.ndims)
-    ] + [_sql_type(spark_type(t.elem))]
+    types = [_sql_type(f.dataType) for f in array_schema(t).fields]
     items = ", ".join(
         f"CAST(NULL AS {ty}) AS {_id(c)}" for c, ty in zip(_key_cols(t.ndims), types)
     )
@@ -375,8 +381,8 @@ def _relation(comp: Comp, env: dict, qb: _Query):
             fr.select(qb, [keys] + _agg_items(st.aggs, env), f" GROUP BY {keys}")
             fr.cols = list(st.names) + [n for n, _, _ in st.aggs]
         elif isinstance(st, Total):
-            # rule 16 removed a constant-key group-by
-            fr.select(qb, _agg_items(st.aggs, env))
+            # rule 16 removed a constant-key group-by; no row over no rows
+            fr.select(qb, _agg_items(st.aggs, env), " HAVING count(1) > 0")
             fr.cols = [n for n, _, _ in st.aggs]
         else:
             # rule 15a's lookup of the pre-update value is lowered with

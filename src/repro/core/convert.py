@@ -5,8 +5,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame, SparkSession
 
 from . import ast as A
-from .backend import py_value, spark_type
-from pyspark.sql import types as T
+from .backend import array_schema, py_value
 
 
 def df_to_dict(df: DataFrame, ndims: int) -> dict:
@@ -20,17 +19,11 @@ def df_to_dict(df: DataFrame, ndims: int) -> dict:
 
 def dict_to_df(spark: SparkSession, d: dict, arr_type: A.TArray) -> DataFrame:
     """Python dict → array DataFrame with the canonical schema."""
-    fields = []
-    for i in range(arr_type.ndims):
-        kt = arr_type.key if (i == 0 and arr_type.ndims == 1) else A.TBasic("long")
-        fields.append(T.StructField(f"_k{i + 1}", spark_type(kt)))
-    fields.append(T.StructField("_v", spark_type(arr_type.elem)))
-    schema = T.StructType(fields)
     rows = []
     for k, v in d.items():
         key = k if isinstance(k, tuple) else (k,)
         rows.append(tuple(key) + (v,))
-    return spark.createDataFrame(rows, schema)
+    return spark.createDataFrame(rows, array_schema(arr_type))
 
 
 def approx_dict_equal(a: dict, b: dict, tol: float = 1e-6) -> bool:

@@ -192,9 +192,8 @@ def _groupby_rules(c: Comp) -> Comp:
             # Rule 16: constant key — total aggregation; bind the key
             # pattern with a let and drop the group-by. Array increments
             # (which carry an OuterLookup for the pre-update value) keep
-            # the group-by: grouping by a constant column preserves the
-            # no-op-on-empty-input semantics, which a total aggregation
-            # (always one row) would not.
+            # the group-by: it binds the key their merge needs, and a
+            # total aggregation keeps only its reductions.
             new = pre + [LetQ(q.pat, q.key)] + quals[qi + 1:]
             return Comp(c.head, tuple(new))
 

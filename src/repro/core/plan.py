@@ -129,8 +129,8 @@ class Lookup:
 @dataclass(frozen=True)
 class Total:
     """Reduce the whole relation to one row of ``(name, monoid, expr)``
-    reductions, each NULL over an empty relation, as in SQL (the
-    translator's head falls back to the monoid's identity)."""
+    reductions; an empty relation gives no row, so a scalar update over
+    an empty bag leaves its destination unchanged."""
 
     aggs: tuple
 

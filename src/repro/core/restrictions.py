@@ -25,11 +25,8 @@ from .ast import (
     DIndex,
     DVar,
     EBin,
-    ECall,
     EConst,
     EIndex,
-    EProj,
-    ETuple,
     EUn,
     EVar,
     SAssign,
@@ -40,6 +37,7 @@ from .ast import (
     SIf,
     SIncr,
     SWhile,
+    walk,
 )
 
 
@@ -65,30 +63,11 @@ def _expr_readers(e, iter_vars: set, out: list) -> None:
     ``iter_vars`` are iteration-bound names (loop indexes and for-in
     element variables) — these are not L-values.
     """
-    if isinstance(e, EVar):
-        if e.name not in iter_vars:
-            out.append(DVar(e.name))
-    elif isinstance(e, EConst):
-        pass
-    elif isinstance(e, EBin):
-        _expr_readers(e.left, iter_vars, out)
-        _expr_readers(e.right, iter_vars, out)
-    elif isinstance(e, EUn):
-        _expr_readers(e.expr, iter_vars, out)
-    elif isinstance(e, EProj):
-        _expr_readers(e.expr, iter_vars, out)
-    elif isinstance(e, ETuple):
-        for x in e.items:
-            _expr_readers(x, iter_vars, out)
-    elif isinstance(e, ECall):
-        for x in e.args:
-            _expr_readers(x, iter_vars, out)
-    elif isinstance(e, EIndex):
-        out.append(DIndex(e.array, e.indexes))
-        for x in e.indexes:
-            _expr_readers(x, iter_vars, out)
-    else:
-        raise TypeError(f"unknown expression {e!r}")
+    for x in walk(e):
+        if isinstance(x, EVar) and x.name not in iter_vars:
+            out.append(DVar(x.name))
+        elif isinstance(x, EIndex):
+            out.append(DIndex(x.array, x.indexes))
 
 
 def _affine_expr(e, loop_indexes: set):
@@ -123,29 +102,10 @@ def _dest_loop_indexes(d, loop_indexes: set) -> set:
     """``indexes(d)``: loop indexes appearing anywhere in ``d``."""
     if isinstance(d, DVar):
         return set()
-    used = set()
-
-    def walk(e):
-        if isinstance(e, EVar):
-            if e.name in loop_indexes:
-                used.add(e.name)
-        elif isinstance(e, EBin):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, EUn):
-            walk(e.expr)
-        elif isinstance(e, EProj):
-            walk(e.expr)
-        elif isinstance(e, (ETuple, ECall)):
-            for x in (e.items if isinstance(e, ETuple) else e.args):
-                walk(x)
-        elif isinstance(e, EIndex):
-            for x in e.indexes:
-                walk(x)
-
-    for x in d.indexes:
-        walk(x)
-    return used
+    return {
+        x.name for ix in d.indexes for x in walk(ix)
+        if isinstance(x, EVar) and x.name in loop_indexes
+    }
 
 
 def _affine_dest(d, context: frozenset, loop_indexes: set) -> bool:
@@ -283,18 +243,18 @@ def check_program(program: SBlock) -> None:
     """Check all for-loop nests of a program (recursing through
     sequential constructs: blocks, while-loops, top-level ifs)."""
 
-    def walk(stmt):
+    def visit(stmt):
         if isinstance(stmt, SBlock):
             for s in stmt.stmts:
-                walk(s)
+                visit(s)
         elif isinstance(stmt, (SFor, SForIn)):
             check_loop(stmt)
         elif isinstance(stmt, SWhile):
-            walk(stmt.body)
+            visit(stmt.body)
         elif isinstance(stmt, SIf):
-            walk(stmt.then)
+            visit(stmt.then)
             if stmt.els is not None:
-                walk(stmt.els)
+                visit(stmt.els)
         # declarations and plain assignments at sequential level are fine
 
-    walk(program)
+    visit(program)

@@ -121,7 +121,8 @@ def eval_comp(comp: Comp, env: dict):
             for r in rows:
                 r[st.var] = _get(arr, tuple(f(r) for f in kfs), st.default)
         elif isinstance(st, Total):
-            rows = [{n: fold(rows) for n, fold in _folds(st.aggs, env)}]
+            if rows:  # no row over no rows, as on Spark
+                rows = [{n: fold(rows) for n, fold in _folds(st.aggs, env)}]
         else:
             raise SeqError(f"unknown plan step {st!r}")
     return rows, p.head

@@ -252,11 +252,8 @@ class Translator:
 
         def update(old, new):
             # old ⊕ ⊕/new; a total aggregation (a scalar's, after rule 16)
-            # is NULL over no rows, so it falls back to the identity here
-            agg = Agg(monoid, new)
-            if isinstance(dest, A.DVar) and ident is not None:
-                agg = Call("coalesce", (agg, Const(ident)))
-            return BinOp(monoid, old, agg)
+            # has no row over no rows, so an empty bag leaves old as it is
+            return BinOp(monoid, old, Agg(monoid, new))
 
         arity = (len(elem.items) if isinstance(elem, A.TTuple)
                  else len(expr.items) if isinstance(expr, A.ETuple) else 0)

@@ -10,7 +10,7 @@ backend's output, so tests can diff them directly.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, functions as F
+from pyspark.sql import functions as F
 
 
 def conditional_sum(env) -> dict:

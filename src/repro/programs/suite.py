@@ -12,7 +12,7 @@ variables constitute its result.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro import synth_data as sd

@@ -98,3 +98,15 @@ def test_scalar_update_over_no_rows_keeps_value_and_type(spark, op, t, init, fil
     for out in three_engines(spark, src, {"V": bag if filtered else {}}, {"V": A.TArray(1, elem)}):
         assert _same(out["m"], init), src
 
+
+@pytest.mark.parametrize("filtered", [False, True], ids=["empty", "all-filtered"])
+@pytest.mark.parametrize("op", ["min", "max"])
+def test_nan_scalar_update_over_no_rows_stays_nan(spark, op, filtered):
+    # the loop never runs, so m keeps its NaN; a reduction that gave one
+    # row over no rows would combine it with the identity: NaN min inf = inf
+    upd = f"m {op}= v;"
+    src = "for v in V do " + (f"if (v > 100.0) {upd}" if filtered else upd)
+    env = {"m": NAN, "V": {0: 1.0, 1: 2.0} if filtered else {}}
+    for out in three_engines(spark, src, env, {"V": A.TArray(1, D)}):
+        assert _same(out["m"], NAN), src
+

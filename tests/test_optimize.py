@@ -103,11 +103,9 @@ def test_rule16_scalar_increment_drops_groupby():
     code, _ = compile_to("var s: double = 0.0; for v in V do s += v;")
     comp = code[1].term
     assert not any(isinstance(q, GroupByQ) for q in comp.quals)
-    # the total aggregation remains in the head, as w ⊕ coalesce(⊕/v, id):
-    # it is NULL over no rows
-    assert comp.head == BinOp(
-        "+", StateRef("s"), Call("coalesce", (Agg("+", Var("v")), Const(0)))
-    )
+    # the total aggregation remains in the head, as w ⊕ ⊕/v: it gives no
+    # row over no rows, which leaves s unchanged
+    assert comp.head == BinOp("+", StateRef("s"), Agg("+", Var("v")))
 
 
 def test_rule16_pure_scalar_increment():
