@@ -5,12 +5,14 @@ theorem says the translated DISC program must be equivalent to the
 sequential loop program). It is not Table 2's "seq" side: that is
 ``seq_backend.run_program_seq``, which runs the translated program.
 
-Arrays are Python dicts (sparse: key → value; multi-dimensional keys
-are tuples). Reading an absent element yields the ``MISSING`` sentinel,
-which propagates through expressions and makes the enclosing statement
-a no-op — exactly the empty-bag semantics of the translation. An
-incremental update to an absent element starts from the ⊕-monoid
-identity, matching the backend's outer lookup.
+Arrays are Python dicts (sparse: key → value; a 1-D key is the bare
+index, an n-D key the tuple of indexes). Reading an absent element
+yields the ``MISSING`` sentinel. One rule, ``_strict``, gives it its
+meaning: an expression, store or loop with a ``MISSING`` operand does
+nothing and yields ``MISSING``, so the enclosing statement is a no-op —
+exactly the empty-bag semantics of the translation. An incremental
+update to an absent element starts from the ⊕-monoid identity, matching
+the backend's outer lookup.
 
 Statements compile once to Python closures (a tree-walking interpreter
 would be ~10× slower).
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from . import ast as A
 from .monoids import BIN, CALLS, IDENTITY
+from .parser import parse
 
 
 class _MissingType:
@@ -34,6 +37,49 @@ class InterpError(Exception):
     pass
 
 
+def _strict(fn, subexprs):
+    """Compile ``fn(sig, *values)`` over the compiled ``subexprs``,
+    evaluated left to right: the first ``MISSING`` stops the evaluation
+    and is the result. One and two operands, the common cases, build no
+    list."""
+    if len(subexprs) == 1:
+        (f,) = subexprs
+
+        def strict1(sig):
+            a = f(sig)
+            return a if a is MISSING else fn(sig, a)
+
+        return strict1
+    if len(subexprs) == 2:
+        f, g = subexprs
+
+        def strict2(sig):
+            a = f(sig)
+            if a is MISSING:
+                return a
+            b = g(sig)
+            return b if b is MISSING else fn(sig, a, b)
+
+        return strict2
+
+    def strict(sig):
+        vs = []
+        for f in subexprs:
+            v = f(sig)
+            if v is MISSING:
+                return v
+            vs.append(v)
+        return fn(sig, *vs)
+
+    return strict
+
+
+def _key(ks):
+    """The dict key of an array element from its index values: a 1-D
+    key is the bare index, an n-D key the tuple of indexes."""
+    return ks[0] if len(ks) == 1 else ks
+
+
 def _compile_expr(e):
     """Compile an expression to ``fn(sig) -> value | MISSING``."""
     if isinstance(e, A.EConst):
@@ -43,77 +89,58 @@ def _compile_expr(e):
         n = e.name
         return lambda sig: sig[n]
     if isinstance(e, A.EBin):
-        f, g, op = _compile_expr(e.left), _compile_expr(e.right), BIN[e.op]
-
-        def fbin(sig):
-            a = f(sig)
-            if a is MISSING:
-                return MISSING
-            b = g(sig)
-            if b is MISSING:
-                return MISSING
-            return op(a, b)
-
-        return fbin
-    if isinstance(e, A.EUn):
-        f = _compile_expr(e.expr)
-        if e.op == "-":
-            return lambda sig: MISSING if (v := f(sig)) is MISSING else -v
-        return lambda sig: MISSING if (v := f(sig)) is MISSING else (not v)
-    if isinstance(e, A.EIndex):
+        op = BIN[e.op]
+        fn, subs = (lambda sig, a, b: op(a, b)), (e.left, e.right)
+    elif isinstance(e, A.EUn):
+        fn = (lambda sig, v: -v) if e.op == "-" else (lambda sig, v: not v)
+        subs = (e.expr,)
+    elif isinstance(e, A.EIndex):
         n = e.array
-        fs = [_compile_expr(x) for x in e.indexes]
-        if len(fs) == 1:
-            f0 = fs[0]
+        fn, subs = (lambda sig, *ks: sig[n].get(_key(ks), MISSING)), e.indexes
+    elif isinstance(e, A.EProj):
+        # a tuple position ``_k`` is item k-1, a record field its name
+        f = e.field.lstrip("_")
+        i = int(f) - 1 if f.isdigit() else e.field
+        fn, subs = (lambda sig, v: v[i]), (e.expr,)
+    elif isinstance(e, A.ETuple):
+        fn, subs = (lambda sig, *vs: vs), e.items
+    elif isinstance(e, A.ECall):
+        call = CALLS[e.fn]
+        fn, subs = (lambda sig, *vs: call(*vs)), e.args
+    else:
+        raise InterpError(f"cannot compile expression {e!r}")
+    return _strict(fn, [_compile_expr(x) for x in subs])
 
-            def fidx1(sig):
-                k = f0(sig)
-                if k is MISSING:
-                    return MISSING
-                return sig[n].get(k, MISSING)
 
-            return fidx1
+def _compile_store(dest, value, combine=None):
+    """Compile ``dest := value`` (and ``var dest: t = value``), or
+    ``dest ⊕= value`` when ``combine`` names the monoid ⊕: an absent
+    current value reads as ⊕'s identity. The value is evaluated before
+    the indexes."""
+    if combine is None:
 
-        def fidxn(sig):
-            ks = tuple(f(sig) for f in fs)
-            if any(k is MISSING for k in ks):
-                return MISSING
-            return sig[n].get(ks, MISSING)
+        def put(d, k, v):
+            d[k] = v
 
-        return fidxn
-    if isinstance(e, A.EProj):
-        f = _compile_expr(e.expr)
-        fld = e.field
-        if fld.lstrip("_").isdigit():
-            i = int(fld.lstrip("_")) - 1
-            return lambda sig: MISSING if (v := f(sig)) is MISSING else v[i]
-        return lambda sig: MISSING if (v := f(sig)) is MISSING else v[fld]
-    if isinstance(e, A.ETuple):
-        fs = [_compile_expr(x) for x in e.items]
+    else:
+        op, ident = BIN[combine], IDENTITY[combine]
 
-        def ftup(sig):
-            vs = tuple(f(sig) for f in fs)
-            if any(v is MISSING for v in vs):
-                return MISSING
-            return vs
+        def put(d, k, v):
+            d[k] = op(d.get(k, ident), v)
 
-        return ftup
-    if isinstance(e, A.ECall):
-        fs = [_compile_expr(x) for x in e.args]
-        fn = CALLS[e.fn]
-
-        def fcall(sig):
-            vs = [f(sig) for f in fs]
-            if any(v is MISSING for v in vs):
-                return MISSING
-            return fn(*vs)
-
-        return fcall
-    raise InterpError(f"cannot compile expression {e!r}")
+    fv = _compile_expr(value)
+    if isinstance(dest, A.DVar):
+        n = dest.name
+        return _strict(lambda sig, v: put(sig, n, v), [fv])
+    n = dest.array
+    return _strict(
+        lambda sig, v, *ks: put(sig[n], _key(ks), v),
+        [fv, *map(_compile_expr, dest.indexes)],
+    )
 
 
 def _compile_stmt(s):
-    """Compile a statement to ``fn(sig) -> None`` (mutates sig)."""
+    """Compile a statement to ``fn(sig)`` (mutates sig)."""
     if isinstance(s, A.SBlock):
         fs = [_compile_stmt(x) for x in s.stmts]
 
@@ -123,153 +150,56 @@ def _compile_stmt(s):
 
         return fblock
     if isinstance(s, A.SDecl):
+        if s.init is not None:
+            return _compile_store(A.DVar(s.name), s.init)
         n = s.name
-        if s.init is None:
 
-            def fdecl0(sig):
-                sig[n] = {}
+        def fempty(sig):
+            sig[n] = {}
 
-            return fdecl0
-        f = _compile_expr(s.init)
-
-        def fdecl(sig):
-            v = f(sig)
-            if v is not MISSING:
-                sig[n] = v
-
-        return fdecl
+        return fempty
     if isinstance(s, A.SAssign):
-        f = _compile_expr(s.expr)
-        if isinstance(s.dest, A.DVar):
-            n = s.dest.name
-
-            def fassignv(sig):
-                v = f(sig)
-                if v is not MISSING:
-                    sig[n] = v
-
-            return fassignv
-        n = s.dest.array
-        ks = [_compile_expr(x) for x in s.dest.indexes]
-
-        def fassigna(sig):
-            v = f(sig)
-            if v is MISSING:
-                return
-            key = tuple(k(sig) for k in ks)
-            if any(k is MISSING for k in key):
-                return
-            sig[n][key if len(key) > 1 else key[0]] = v
-
-        return fassigna
+        return _compile_store(s.dest, s.expr)
     if isinstance(s, A.SIncr):
-        f = _compile_expr(s.expr)
-        op = BIN[s.monoid]
-        ident = IDENTITY[s.monoid]
-        if isinstance(s.dest, A.DVar):
-            n = s.dest.name
+        return _compile_store(s.dest, s.expr, s.monoid)
+    if isinstance(s, (A.SFor, A.SForIn)):
+        if isinstance(s, A.SFor):
+            values = _strict(
+                lambda sig, lo, hi: range(int(lo), int(hi) + 1),
+                [_compile_expr(s.lo), _compile_expr(s.hi)],
+            )
+        else:
+            values = _strict(lambda sig, c: list(c.values()), [_compile_expr(s.coll)])
+        var, body = s.var, _compile_stmt(s.body)
 
-            def fincrv(sig):
-                v = f(sig)
-                if v is MISSING:
-                    return
-                cur = sig.get(n, MISSING)
-                if cur is MISSING:
-                    cur = ident
-                sig[n] = op(cur, v)
-
-            return fincrv
-        n = s.dest.array
-        ks = [_compile_expr(x) for x in s.dest.indexes]
-
-        def fincra(sig):
-            v = f(sig)
-            if v is MISSING:
-                return
-            key = tuple(k(sig) for k in ks)
-            if any(k is MISSING for k in key):
-                return
-            key = key if len(key) > 1 else key[0]
-            arr = sig[n]
-            cur = arr.get(key, MISSING)
-            if cur is MISSING:
-                cur = ident
-            arr[key] = op(cur, v)
-
-        return fincra
-    if isinstance(s, A.SFor):
-        flo, fhi = _compile_expr(s.lo), _compile_expr(s.hi)
-        fb = _compile_stmt(s.body)
-        var = s.var
-
-        def ffor(sig):
-            lo, hi = flo(sig), fhi(sig)
-            if lo is MISSING or hi is MISSING:
-                return
-            for v in range(int(lo), int(hi) + 1):
+        def loop(sig, vs):
+            for v in vs:
                 sig[var] = v
-                fb(sig)
+                body(sig)
             sig.pop(var, None)
 
-        return ffor
-    if isinstance(s, A.SForIn):
-        fc = _compile_expr(s.coll)
-        fb = _compile_stmt(s.body)
-        var = s.var
-
-        def fforin(sig):
-            coll = fc(sig)
-            if coll is MISSING:
-                return
-            for v in list(coll.values()):
-                sig[var] = v
-                fb(sig)
-            sig.pop(var, None)
-
-        return fforin
+        return _strict(loop, [values])
     if isinstance(s, A.SWhile):
-        fc = _compile_expr(s.cond)
-        fb = _compile_stmt(s.body)
+        fc, body = _compile_expr(s.cond), _compile_stmt(s.body)
 
         def fwhile(sig):
-            while True:
-                c = fc(sig)
-                if c is MISSING or not c:
-                    return
-                fb(sig)
+            while (c := fc(sig)) is not MISSING and c:
+                body(sig)
 
         return fwhile
     if isinstance(s, A.SIf):
-        fc = _compile_expr(s.cond)
-        ft = _compile_stmt(s.then)
-        fe = _compile_stmt(s.els) if s.els is not None else None
-
-        def fif(sig):
-            c = fc(sig)
-            if c is MISSING:
-                return
-            if c:
-                ft(sig)
-            elif fe is not None:
-                fe(sig)
-
-        return fif
+        then = _compile_stmt(s.then)
+        els = _compile_stmt(s.els) if s.els is not None else (lambda sig: None)
+        return _strict(lambda sig, c: (then if c else els)(sig), [_compile_expr(s.cond)])
     raise InterpError(f"cannot compile statement {s!r}")
 
 
-def compile_interp(src_or_ast):
-    """Compile a program (source text or AST) to an executable closure."""
-    from .parser import parse
-
-    ast = parse(src_or_ast) if isinstance(src_or_ast, str) else src_or_ast
-    return _compile_stmt(ast)
-
-
 def interpret(src_or_ast, env: dict) -> dict:
-    """Run the program sequentially over ``env`` (arrays: dicts keyed by
-    int/str or index tuples; scalars: plain values). Returns the final
-    state; the input dict is not mutated (arrays are shallow-copied)."""
-    fn = compile_interp(src_or_ast)
+    """Run the program (source text or AST) sequentially over ``env``
+    (arrays: dicts keyed by int/str or index tuples; scalars: plain
+    values). Returns the final state; the input dict is not mutated
+    (arrays are shallow-copied)."""
+    run = _compile_stmt(parse(src_or_ast) if isinstance(src_or_ast, str) else src_or_ast)
     sig = {k: (dict(v) if isinstance(v, dict) else v) for k, v in env.items()}
-    fn(sig)
+    run(sig)
     return sig

@@ -65,7 +65,7 @@ def _fold(t):
 def norm_term(t):
     """Normalize a term bottom-up."""
     if isinstance(t, Comp):
-        return _norm_comp(t)
+        return norm_comp(map_terms(t, norm_term))
     u = map_terms(t, norm_term)
     return t if u is t else _fold(u)  # a leaf folds to itself
 
@@ -74,9 +74,9 @@ def _has_groupby(quals) -> bool:
     return any(isinstance(q, GroupByQ) for q in quals)
 
 
-def _norm_comp(c: Comp) -> Comp:
-    # normalize qualifier subterms and head first
-    c = map_terms(c, norm_term)
+def norm_comp(c: Comp) -> Comp:
+    """Normalize a comprehension whose qualifier subterms and head are
+    already normal (the top-level step of ``norm_term``)."""
     quals, head = c.quals, c.head
 
     # Rule 2: splice generators over group-by-free comprehensions

@@ -45,7 +45,7 @@ from .comprehension import (
     subst,
     unagg,
 )
-from .normalize import norm_term
+from .normalize import norm_comp
 from .translate import map_code
 
 
@@ -227,14 +227,15 @@ def _groupby_rules(c: Comp) -> Comp:
 
 
 def optimize_term(t):
-    """Apply all optimizations bottom-up, then re-normalize."""
+    """Apply all optimizations bottom-up, then re-normalize each
+    comprehension (its nested ones are normal already)."""
     t = map_terms(t, optimize_term)
     if not isinstance(t, Comp):
         return t
     t = _eliminate_ranges(t)
     t = _eliminate_self_joins(t)
     t = _groupby_rules(t)
-    return norm_term(t)
+    return norm_comp(t)
 
 
 def optimize_code(code):

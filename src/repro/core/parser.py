@@ -58,6 +58,15 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"var", "for", "in", "do", "while", "if", "else", "true", "false"}
 _INCR_OPS = {"+=": "+", "*=": "*", "&&=": "&&", "||=": "||"}
 _NAMED_INCR = {"min", "max", "argmin"}
+# Binary operators by precedence, loosest first, each level with whether
+# it chains: all are left-associative, but comparisons do not chain.
+_BINARY = (
+    ({"||"}, True),
+    ({"&&"}, True),
+    ({"==", "!=", "<", "<=", ">", ">="}, False),
+    ({"+", "-"}, True),
+    ({"*", "/", "%"}, True),
+)
 _BASIC_TYPES = {
     "int": "long",
     "long": "long",
@@ -117,6 +126,14 @@ class Parser:
             self.next()
             return True
         return False
+
+    def parse_list(self, item, close: str) -> tuple:
+        """``item (, item)* close``: the items."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        self.expect(close)
+        return tuple(items)
 
     # --- program / statements ---
     def parse_program(self) -> SBlock:
@@ -194,11 +211,7 @@ class Parser:
             self.expect("]")
             return TArray(1 if val == "vector" else 2, elem)
         if val == "(":
-            items = [self.parse_type()]
-            while self.accept(","):
-                items.append(self.parse_type())
-            self.expect(")")
-            return TTuple(tuple(items))
+            return TTuple(self.parse_list(self.parse_type, ")"))
         raise ParseError(f"bad type {val!r}")
 
     def parse_assign(self):
@@ -224,11 +237,7 @@ class Parser:
         if kind != "id" or name in _KEYWORDS:
             raise ParseError(f"bad destination {name!r}")
         if self.accept("["):
-            idx = [self.parse_expr()]
-            while self.accept(","):
-                idx.append(self.parse_expr())
-            self.expect("]")
-            return DIndex(name, tuple(idx))
+            return DIndex(name, self.parse_list(self.parse_expr, "]"))
         return DVar(name)
 
     def parse_for(self):
@@ -246,51 +255,20 @@ class Parser:
         return SFor(var, lo, hi, self.parse_stmt())
 
     # --- expressions (precedence climbing) ---
-    def parse_expr(self):
-        return self.parse_or()
-
-    def parse_or(self):
-        e = self.parse_and()
-        while self.at("||"):
-            self.next()
-            e = EBin("||", e, self.parse_and())
-        return e
-
-    def parse_and(self):
-        e = self.parse_cmp()
-        while self.at("&&"):
-            self.next()
-            e = EBin("&&", e, self.parse_cmp())
-        return e
-
-    def parse_cmp(self):
-        e = self.parse_add()
-        if self.peek()[1] in ("==", "!=", "<", "<=", ">", ">="):
-            op = self.next()[1]
-            e = EBin(op, e, self.parse_add())
-        return e
-
-    def parse_add(self):
-        e = self.parse_mul()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            e = EBin(op, e, self.parse_mul())
-        return e
-
-    def parse_mul(self):
-        e = self.parse_unary()
-        while self.peek()[1] in ("*", "/", "%"):
-            op = self.next()[1]
-            e = EBin(op, e, self.parse_unary())
+    def parse_expr(self, level: int = 0):
+        if level == len(_BINARY):
+            return self.parse_unary()
+        ops, chains = _BINARY[level]
+        e = self.parse_expr(level + 1)
+        while self.peek()[1] in ops:
+            e = EBin(self.next()[1], e, self.parse_expr(level + 1))
+            if not chains:
+                break
         return e
 
     def parse_unary(self):
-        if self.at("-"):
-            self.next()
-            return EUn("-", self.parse_unary())
-        if self.at("!"):
-            self.next()
-            return EUn("!", self.parse_unary())
+        if self.peek()[1] in ("-", "!"):
+            return EUn(self.next()[1], self.parse_unary())
         return self.parse_postfix()
 
     def parse_postfix(self):
@@ -314,28 +292,14 @@ class Parser:
         if val == "false":
             return EConst(False)
         if val == "(":
-            items = [self.parse_expr()]
-            while self.accept(","):
-                items.append(self.parse_expr())
-            self.expect(")")
-            return items[0] if len(items) == 1 else ETuple(tuple(items))
+            items = self.parse_list(self.parse_expr, ")")
+            return items[0] if len(items) == 1 else ETuple(items)
         if kind == "id":
-            if self.at("("):
-                self.next()
-                args = []
-                if not self.at(")"):
-                    args.append(self.parse_expr())
-                    while self.accept(","):
-                        args.append(self.parse_expr())
-                self.expect(")")
-                return ECall(val, tuple(args))
-            if self.at("["):
-                self.next()
-                idx = [self.parse_expr()]
-                while self.accept(","):
-                    idx.append(self.parse_expr())
-                self.expect("]")
-                return EIndex(val, tuple(idx))
+            if self.accept("("):
+                args = () if self.accept(")") else self.parse_list(self.parse_expr, ")")
+                return ECall(val, args)
+            if self.accept("["):
+                return EIndex(val, self.parse_list(self.parse_expr, "]"))
             return EVar(val)
         raise ParseError(f"unexpected token {val!r}")
 

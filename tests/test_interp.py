@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from repro.core import ast as A
 from repro.core.interp import MISSING, interpret
 
 
@@ -154,3 +155,65 @@ def test_decl_resets_array_inside_while():
         {},
     )
     assert out["A"] == {0: 1}  # reset each iteration, incremented once
+
+
+# --------------------------------------------------- the MISSING rule
+ONE, ZERO, ABSENT = A.EConst(1), A.EConst(0), A.EIndex("W", (A.EConst(5),))
+
+# Each expression class with subexpressions: a name, a builder from its
+# operands, and operands under which the expression has a value.
+STRICT_CASES = [
+    ("a + b", A.EBin, lambda *xs: A.EBin("+", *xs), [ONE, ONE]),
+    ("a && b", A.EBin, lambda *xs: A.EBin("&&", *xs), [A.EConst(False)] * 2),
+    ("-a", A.EUn, lambda x: A.EUn("-", x), [ONE]),
+    ("V[i]", A.EIndex, lambda *xs: A.EIndex("V", xs), [ZERO]),
+    ("M[i, j, k]", A.EIndex, lambda *xs: A.EIndex("M", xs), [ZERO] * 3),
+    ("t._2", A.EProj, lambda x: A.EProj(x, "_2"), [A.ETuple((ONE, ONE))]),
+    ("(a, b, c)", A.ETuple, lambda *xs: A.ETuple(xs), [ONE] * 3),
+    ("coalesce(a, b)", A.ECall, lambda *xs: A.ECall("coalesce", xs), [ONE] * 2),
+]
+
+STORES = {
+    "x := e": lambda e: A.SAssign(A.DVar("x"), e),
+    "x += e": lambda e: A.SIncr(A.DVar("x"), "+", e),
+    "var x: long = e": lambda e: A.SDecl("x", A.TBasic("long"), e),
+    "A[0] := e": lambda e: A.SAssign(A.DIndex("A", (ZERO,)), e),
+    "A[e] := 1": lambda e: A.SAssign(A.DIndex("A", (e,)), ONE),
+}
+
+
+def _state():
+    # x is a value that no case's expression has
+    return {"x": 0.5, "A": {}, "W": {}, "V": {0: 7}, "M": {(0, 0, 0): 7}}
+
+
+def _expr(case, pos=None):
+    """The case's expression, its operand at ``pos`` absent."""
+    _, _, build, ops = case
+    return build(*(ABSENT if i == pos else x for i, x in enumerate(ops)))
+
+
+def test_every_compound_expression_class_has_a_case():
+    assert {c for _, c, _, _ in STRICT_CASES} == {
+        c for c, fields in A.SUBEXPR_FIELDS.items() if fields
+    }
+
+
+@pytest.mark.parametrize("case", STRICT_CASES, ids=lambda c: c[0])
+@pytest.mark.parametrize("store", ["x := e", "A[e] := 1"])
+def test_present_operands_store(case, store):
+    # the no-op cases below are not vacuous: with every operand present,
+    # the expression has a value and the store writes it
+    prog = A.SBlock([STORES[store](_expr(case))])
+    assert interpret(prog, _state()) != _state()
+
+
+@pytest.mark.parametrize("store", STORES)
+@pytest.mark.parametrize(
+    "case, pos",
+    [(c, i) for c in STRICT_CASES for i in range(len(c[3]))],
+    ids=lambda v: v[0] if isinstance(v, tuple) else f"operand{v}",
+)
+def test_absent_operand_makes_store_a_noop(case, pos, store):
+    prog = A.SBlock([STORES[store](_expr(case, pos))])
+    assert interpret(prog, _state()) == _state()

@@ -46,6 +46,17 @@ def test_comparison():
     assert parse_expr("a < 5") == A.EBin("<", A.EVar("a"), A.EConst(5))
 
 
+def test_binary_ops_associate_left():
+    a, b, c = A.EVar("a"), A.EVar("b"), A.EVar("c")
+    assert parse_expr("a - b - c") == A.EBin("-", A.EBin("-", a, b), c)
+    assert parse_expr("a / b * c") == A.EBin("*", A.EBin("/", a, b), c)
+
+
+def test_comparisons_do_not_chain():
+    with pytest.raises(ParseError):
+        parse_expr("a < b < c")
+
+
 def test_boolean_ops():
     e = parse_expr("a && b || c")
     assert e == A.EBin("||", A.EBin("&&", A.EVar("a"), A.EVar("b")), A.EVar("c"))
@@ -97,6 +108,10 @@ def test_call_two_args():
     assert parse_expr("dist2(P[i], C[j])") == A.ECall(
         "dist2", (A.EIndex("P", (A.EVar("i"),)), A.EIndex("C", (A.EVar("j"),)))
     )
+
+
+def test_call_no_args():
+    assert parse_expr("f()") == A.ECall("f", ())
 
 
 def test_comment_skipped():
