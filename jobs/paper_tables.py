@@ -5,14 +5,18 @@ Table 1 needs no Spark and prints first. Then each Table-2 program builds
 and persists its ``bench`` inputs once, is compiled once, and runs on Spark
 once untimed and twice timed. That one par time (best of 2) is both its
 Table 2 row, next to seq, and its Figure 3 row, next to the hand-written
-program. Par and hand-written runs force only the program's outputs.
+program. Par and hand-written runs force only the program's outputs. A
+program whose sibling statements run as one scan (``compile_program``'s
+``fuse``) gets a second row in both tables, compiled with ``fuse=False``:
+the paper's one query per statement.
 
 Inputs are persisted with ``localCheckpoint``: a DataFrame made from pandas
 can be a local relation whose rows ride in every task even when cached (a
 filter and sum over 2 M cached doubles: 3.1 s on 4 cores, 0.24 s after).
 Each program's persisted RDDs are released before the next program starts.
 
-Run: ``python jobs/paper_tables.py`` from the repository root.
+Run: ``python jobs/paper_tables.py [program …]`` from the repository root;
+named programs restrict every table to their rows.
 """
 import os
 import statistics
@@ -27,6 +31,7 @@ import conftest  # noqa: E402  (sets the driver's memory before the JVM starts)
 from repro.baselines import casper_like, mold_like  # noqa: E402
 from repro.core.pipeline import compile_program, run_program  # noqa: E402
 from repro.core.seq_backend import run_program_seq  # noqa: E402
+from repro.core.translate import TGroup, TWhile  # noqa: E402
 from repro.programs.handwritten import HANDWRITTEN  # noqa: E402
 from repro.programs.suite import PROGRAMS, build_envs  # noqa: E402
 
@@ -88,12 +93,18 @@ def best_of_2(fn, warmup=True):
     return min(seconds(fn) for _ in range(2))
 
 
+def grouped(code) -> bool:
+    return any(isinstance(st, TGroup) or isinstance(st, TWhile) and grouped(st.body)
+               for st in code)
+
+
 def winner(par, seq):
     return f"par {seq / par:.1f}×" if par <= seq else f"seq {par / seq:.2f}×"
 
 
 def table2_figure3(spark, size="bench", programs=T2):
-    """One row of Table 2 and one of Figure 3 per program, from one par time."""
+    """One row of Table 2 and one of Figure 3 per compiled program (two for a
+    program with grouped statements), each from one par time."""
     t2, f3, persisted = [], [], spark.sparkContext._jsc.getPersistentRDDs
     for prog in programs:
         kept = set(persisted())
@@ -102,40 +113,50 @@ def table2_figure3(spark, size="bench", programs=T2):
         spark_env = {k: v.localCheckpoint() if hasattr(v, "localCheckpoint") else v
                      for k, v in spark_env.items()}
         compiled = compile_program(prog.source, types)
+        variants = [(prog.name, compiled)]
+        if grouped(compiled.code):
+            variants.append((f"{prog.name} (fuse=False)",
+                             compile_program(prog.source, types, fuse=False)))
+        paper, pars = prog.paper_t2, []
+        for name, code in variants:
 
-        def par():
-            env = run_program(compiled, spark_env, spark)
-            force({k: env[k] for k in prog.outputs})
+            def par():
+                env = run_program(code, spark_env, spark)
+                force({k: env[k] for k in prog.outputs})
 
-        par_s = best_of_2(par)
-        seq_s = best_of_2(lambda: run_program_seq(compiled, dict_env), warmup=False)
+            par_s = best_of_2(par)
+            seq_s = best_of_2(lambda: run_program_seq(code, dict_env), warmup=False)
+            t2.append([name, f"{rows:,}", fmt(paper["par"]), f"{par_s:.2f}",
+                       fmt(paper["seq"]), f"{seq_s:.2f}",
+                       winner(paper["par"], paper["seq"]), winner(par_s, seq_s)])
+            pars.append((name, par_s, seq_s))
         hand_s = best_of_2(lambda: force(HANDWRITTEN[prog.name](spark_env)))
-        paper = prog.paper_t2
-        t2.append([prog.name, f"{rows:,}", fmt(paper["par"]), f"{par_s:.2f}",
-                   fmt(paper["seq"]), f"{seq_s:.2f}",
-                   winner(paper["par"], paper["seq"]), winner(par_s, seq_s)])
-        f3.append([prog.name, f"{par_s:.2f}", f"{hand_s:.2f}", f"{par_s / hand_s:.2f}×"])
+        f3 += [[name, f"{par_s:.2f}", f"{hand_s:.2f}", f"{par_s / hand_s:.2f}×"]
+               for name, par_s, _ in pars]
         for rdd_id, rdd in dict(persisted()).items():
             if rdd_id not in kept:
                 rdd.unpersist(True)
         stored = len(spark.sparkContext._jsc.sc().getRDDStorageInfo())
-        print(f"done {prog.name}: par={par_s:.2f}s seq={seq_s:.2f}s hand={hand_s:.2f}s, "
-              f"{stored} RDDs left in storage", file=sys.stderr, flush=True)
+        runs = ", ".join(f"{n} par={p:.2f}s seq={q:.2f}s" for n, p, q in pars)
+        print(f"done {prog.name}: {runs}, hand={hand_s:.2f}s, {stored} RDDs left in storage",
+              file=sys.stderr, flush=True)
     return t2, f3
 
 
-def main():
+def main(names):
     start = time.perf_counter()
+    t1 = [p for p in T1 if not names or p.name in names]
+    t2_progs = [p for p in T2 if not names or p.name in names]
     print_table(
         "Table 1 — compilation time (paper: secs on a 2.7 GHz i5; ours: no JVM byte code)",
         ["program", "MOLD (paper s)", "MOLD-like (ours)", "Casper (paper s)",
          "Casper-like (ours)", "DIABLO (paper s)", "DIABLO (ours)"],
-        table1(),
+        table1(t1),
     )
     spark = conftest.make_spark("paper_tables")
     spark.sparkContext.setLogLevel("ERROR")
     cores = spark.sparkContext.defaultParallelism
-    t2, f3 = table2_figure3(spark)
+    t2, f3 = table2_figure3(spark, programs=t2_progs)
     spark.stop()
     print_table(f"Table 2 — par vs seq time (paper: 24-core Xeon, Scala collections; "
                 f"ours: local[*] on {cores} cores vs sequential Python collections)",
@@ -147,4 +168,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

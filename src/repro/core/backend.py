@@ -64,9 +64,23 @@ from .comprehension import (
     Var,
     show,
     state_refs,
+    subst,
 )
-from .plan import Filter, GroupBy, Join, Let, Scan, Total, compile_term, plan, run_driver
-from .translate import TAssign, TInit, TWhile
+from .plan import (
+    Filter,
+    GroupBy,
+    Join,
+    Let,
+    Lookup,
+    Scan,
+    Total,
+    compile_term,
+    member_comp,
+    plan,
+    plan_group,
+    run_driver,
+)
+from .translate import TAssign, TGroup, TInit, TWhile
 
 
 class BackendError(Exception):
@@ -180,8 +194,7 @@ _SQL_BIN = {
     "==": "=", "&&": "AND", "||": "OR",
     **{op: op for op in ("+", "-", "*", "/", "!=", "<", "<=", ">", ">=")},
 }
-# ln, not log: SQL's one-argument log is Logarithm(e, x), F.log's is Log(x)
-_SQL_FN = {"log": "ln", **{f: f for f in ("sqrt", "abs", "exp", "floor", "ceil", "coalesce")}}
+_SQL_FN = {f: f for f in ("sqrt", "abs", "exp", "coalesce")}
 
 
 def to_sql(t, env: dict) -> str:
@@ -209,6 +222,8 @@ def to_sql(t, env: dict) -> str:
         if t.op == "max":
             return f"greatest({a}, {b})"
         if t.op == "argmin":
+            if "NULL" in (a, b):  # absent: the other one (an untyped NULL has no `_2`)
+                return b if a == "NULL" else a
             return (
                 f"CASE WHEN {a} IS NULL THEN {b} WHEN {b} IS NULL THEN {a} "
                 f"WHEN {a}.`_2` <= {b}.`_2` THEN {a} ELSE {b} END"
@@ -229,6 +244,18 @@ def to_sql(t, env: dict) -> str:
             p, c = args
             dx, dy = f"({p}.`_1` - {c}.`_1`)", f"({p}.`_2` - {c}.`_2`)"
             return f"(({dx} * {dx}) + ({dy} * {dy}))"
+        if t.fn == "log":
+            # ln, not log: SQL's one-argument log is Logarithm(e, x); ln
+            # is NULL at and below 0, where IEEE has -inf and NaN (NaN is
+            # above 0 in Spark's order, and ln(NaN) is NaN)
+            (x,) = args
+            return (f"CASE WHEN {x} > 0 THEN ln({x}) WHEN {x} = 0 THEN {_lit(-math.inf)} "
+                    f"ELSE {_lit(math.nan)} END")
+        if t.fn in ("floor", "ceil"):
+            # Spark gives 0 for NaN and a long's bound for an infinity
+            (x,) = args
+            return (f"CASE WHEN isnan({x}) OR abs({x}) = {_lit(math.inf)} "
+                    f"THEN raise_error('{t.fn} of NaN or an infinity') ELSE {t.fn}({x}) END")
         if t.fn not in _SQL_FN:
             raise BackendError(f"unknown function {t.fn!r}")
         return f"{_SQL_FN[t.fn]}({', '.join(args)})"
@@ -242,20 +269,22 @@ def to_sql(t, env: dict) -> str:
 _SQL_AGG = {"+": "sum", "min": "min", "max": "max", "&&": "bool_and", "||": "bool_or"}
 
 
-def _agg_sql(monoid: str, e: str) -> str:
+def _agg_sql(monoid: str, e: str, filt: str = "") -> str:
+    """The aggregate ``monoid``/``e``; ``filt`` (a ``FILTER (WHERE …)``
+    clause) restricts each aggregate call in it to some rows."""
     if monoid == "argmin":
-        return f"min_by({e}, {e}.`_2`)"
+        return f"min_by({e}, {e}.`_2`){filt}"
     if monoid == "*":
         # Spark SQL has no product aggregate: fold the group's values,
         # seeded with the first one so the result keeps their type
-        vs = f"collect_list({e})"
+        vs = f"collect_list({e}){filt}"
         return (
             f"aggregate(slice({vs}, 2, greatest(size({vs}), 1)), get({vs}, 0), "
             f"(_pa, _px) -> _pa * _px)"
         )
     if monoid not in _SQL_AGG:
         raise BackendError(f"unknown monoid {monoid!r}")
-    return f"{_SQL_AGG[monoid]}({e})"
+    return f"{_SQL_AGG[monoid]}({e}){filt}"
 
 
 class _Query:
@@ -357,8 +386,20 @@ def _relation(comp: Comp, env: dict, qb: _Query):
         return None
     if not p.steps:
         return None, compile_term(p.head, env)(b)
-    fr = _Frontier(_source_sql(p.steps[0], env, qb, b), list(p.steps[0].names))
-    for st in p.steps[1:]:
+    return _lower(p.steps, env, qb, b), p.head
+
+
+def _lower(steps: tuple, env: dict, qb: _Query, b: dict) -> _Frontier:
+    """The relation of plan steps that start with their source; ``b``
+    holds the driver's bindings."""
+    fr = _Frontier(_source_sql(steps[0], env, qb, b), list(steps[0].names))
+    _apply(fr, steps[1:], env, qb, b)
+    return fr
+
+
+def _apply(fr: _Frontier, steps: tuple, env: dict, qb: _Query, b: dict) -> None:
+    """Extend the relation ``fr`` by plan steps."""
+    for st in steps:
         if isinstance(st, Join):
             g = _source_sql(st.source, env, qb, b)
             fr.cols = fr.cols + list(st.source.names)
@@ -388,7 +429,6 @@ def _relation(comp: Comp, env: dict, qb: _Query):
             # rule 15a's lookup of the pre-update value is lowered with
             # its merge, by _update_sql
             raise BackendError(f"outer lookup outside an array update: {st.var}")
-    return fr, p.head
 
 
 # --------------------------------------------------------- bag results
@@ -472,12 +512,6 @@ def _merge_sql(qb: _Query, old: DataFrame, new, ndims: int) -> str:
     return f"SELECT {', '.join(items)} FROM {old} FULL OUTER JOIN {new} ON {on}"
 
 
-def merge_arrays(old: DataFrame, new: DataFrame, ndims: int) -> DataFrame:
-    """``old ⊲ new``: union preferring ``new`` on key collisions."""
-    qb = _Query(old.sparkSession)
-    return qb.run(_merge_sql(qb, old, new, ndims), "a merge")
-
-
 def _fresh_sql(types: list, exprs: list, src: str) -> str:
     """The rows ``exprs`` over ``src`` as a merge into a fresh array with
     column types ``types``. Each column keeps the type the full outer
@@ -519,21 +553,27 @@ def _update_sql(old: DataFrame, comp: Comp, env, qb: _Query, ndims: int):
     res = _relation(Comp(comp.head, comp.quals[:-1]), env, qb)
     if res is None:
         return None
-    fr, head = res
+    return _update_rows(old, look.var, to_sql(look.default, env), *res, env, qb, ndims)
+
+
+def _update_rows(old: DataFrame, var: str, default: str, fr: _Frontier, head,
+                 env, qb: _Query, ndims: int) -> str:
+    """``_update_sql`` over the relation ``fr`` of the update's bag
+    without its lookup, which binds ``var`` to ``old``'s value, else to
+    the SQL ``default``."""
     exprs = [to_sql(x, env) for x in head.items]
-    default = to_sql(look.default, env)
     types = _FRESH.get(old)
     if types:
-        fr.select(qb, fr.with_cols({look.var: f"coalesce(CAST(NULL AS {types[-1]}), {default})"}))
+        fr.select(qb, fr.with_cols({var: f"coalesce(CAST(NULL AS {types[-1]}), {default})"}))
         return _fresh_sql(types, exprs, fr.src)
-    ocols = _key_cols(ndims, f"_lk_{look.var}_", f"_lv_{look.var}")
+    ocols = _key_cols(ndims, f"_lk_{var}_", f"_lv_{var}")
     scan = qb.scan(old, ocols)
     ocols = list(map(_id, ocols))
-    hit = _id(f"_hit_{look.var}")
+    hit = _id(f"_hit_{var}")
     fr.select(qb, [_id(c) for c in fr.cols] + [f"true AS {hit}"])
     on = " AND ".join(f"({e} = {c})" for e, c in zip(exprs[:-1], ocols))
     fr.select(qb, [_id(c) for c in fr.cols] + [
-        hit, *ocols, f"coalesce({ocols[-1]}, {default}) AS {_id(look.var)}"
+        hit, *ocols, f"coalesce({ocols[-1]}, {default}) AS {_id(var)}"
     ], f" FULL OUTER JOIN {scan} ON {on}")
     items = [f"coalesce({e}, {c})" for e, c in zip(exprs, ocols[:-1])] + [
         f"coalesce(CASE WHEN {hit} THEN {exprs[-1]} END, {ocols[-1]})"
@@ -569,6 +609,115 @@ def eval_scalar(term, env, spark):
     return True, compile_term(term, env)({})
 
 
+# ------------------------------------------------------ sibling groups
+def _conds_sql(conds: tuple, env: dict) -> str:
+    return " AND ".join(to_sql(c, env) for c in conds)
+
+
+def _own_conds(m) -> tuple:
+    """A group member's own conditions (``GroupPlan``), and its steps
+    after them."""
+    if isinstance(m.steps[0], Filter):
+        return m.steps[0].conds, m.steps[1:]
+    return (), m.steps
+
+
+def _group_scalars(gp, stmts, env: dict, spark: SparkSession) -> dict:
+    """Scalar updates that end in a ``Total`` (``plan_group``) as one
+    query: one aggregate per reduction, each restricted to its member's
+    rows by ``FILTER (WHERE …)``, and a count of those rows per member;
+    a member with none leaves its destination unchanged. Returns the
+    new values."""
+    qb = _Query(spark)
+    fr = _lower(gp.shared, env, qb, {})
+    # each member's conditions once per row, as a column: its aggregates
+    # and its count all filter on them
+    conds = {f"_g{i}_c": _conds_sql(_own_conds(m)[0], env)
+             for i, m in enumerate(gp.members) if isinstance(m.steps[0], Filter)}
+    if conds:
+        fr.select(qb, fr.with_cols(conds))
+    items, heads = [], []
+    for i, m in enumerate(gp.members):
+        _, (total,) = _own_conds(m)
+        filt = f" FILTER (WHERE {_id(f'_g{i}_c')})" if f"_g{i}_c" in conds else ""
+        ren = {n: Var(f"_g{i}{n}") for n, _, _ in total.aggs}
+        items += [f"{_agg_sql(mo, to_sql(e, env), filt)} AS {_id(ren[n].name)}"
+                  for n, mo, e in total.aggs]
+        n = _id(f"_g{i}_n")
+        items.append(f"count(1){filt} AS {n}")
+        head = to_sql(subst(m.head, ren), env)
+        heads += [f"CASE WHEN {n} > 0 THEN {head} END AS {_id(f'_g{i}_v')}", n]
+    fr.select(qb, items)
+    sql = f"SELECT {', '.join(heads)} FROM {fr.src}"
+    (row,) = qb.run(sql, "; ".join(show(st.term) for st in stmts)).collect()
+    return {st.name: py_value(row[f"_g{i}_v"])
+            for i, st in enumerate(stmts) if row[f"_g{i}_n"] > 0}
+
+
+def _group_arrays(gp, stmts, env: dict, spark: SparkSession, types: dict) -> dict:
+    """Array updates that group by (``plan_group``) as one scan: each
+    row of the shared relation is repeated once per member (tagged
+    ``_tag``), kept where the member's conditions hold, and carries that
+    member's keys and reduced values in columns of its own (NULL in the
+    others', so members whose keys differ in type need no common one).
+    One ``GROUP BY _tag, keys…`` computes every member's groups, and is
+    checkpointed: Spark would compute it again for each member's split
+    otherwise. Each member's split then continues like an unfused
+    statement, with its merge into the destination. Returns the new
+    arrays."""
+    qb = _Query(spark)
+    fr = _lower(gp.shared, env, qb, {})
+    tags = ", ".join(str(i) for i in range(len(gp.members)))
+    fr.select(qb, [_id(c) for c in fr.cols] + [f"explode(array({tags})) AS `_tag`"])
+    where, cols, keys, aggs = [], [], [], []
+    for i, m in enumerate(gp.members):
+        conds, (g, *_) = _own_conds(m)
+        where.append(f"(`_tag` = {i} AND {_conds_sql(conds, env)})" if conds else f"`_tag` = {i}")
+        for j, k in enumerate(g.keys):
+            keys.append(_id(f"_g{i}_k{j}"))
+            cols.append(f"CASE WHEN `_tag` = {i} THEN {to_sql(k, env)} END AS {keys[-1]}")
+        for j, (_, mo, e) in enumerate(g.aggs):
+            a = _id(f"_g{i}_a{j}")
+            cols.append(f"CASE WHEN `_tag` = {i} THEN {to_sql(e, env)} END AS {a}")
+            aggs.append(f"{_agg_sql(mo, a)} AS {a}")
+    conditional = any(isinstance(m.steps[0], Filter) for m in gp.members)
+    fr.select(qb, ["`_tag`"] + cols, f" WHERE {' OR '.join(where)}" if conditional else "")
+    by = ", ".join(["`_tag`"] + keys)
+    sql = f"SELECT {by}, {', '.join(aggs)} FROM {fr.src} GROUP BY {by}"
+    what = "; ".join(show(st.term) for st in stmts)
+    grouped = qb.run(sql, what).localCheckpoint(eager=True)
+    out = {}
+    for i, (st, m) in enumerate(zip(stmts, gp.members)):
+        _, (g, *rest) = _own_conds(m)
+        ndims = types[st.name].ndims
+        old = _array(env, st.name)
+        mq = _Query(spark)
+        split = _Frontier(mq.scan(grouped, grouped.columns), list(grouped.columns))
+        split.select(mq, [f"{_id(f'_g{i}_k{j}')} AS {_id(n)}" for j, n in enumerate(g.names)] + [
+            f"{_id(f'_g{i}_a{j}')} AS {_id(n)}" for j, (n, _, _) in enumerate(g.aggs)
+        ], f" WHERE `_tag` = {i}")
+        split.cols = list(g.names) + [n for n, _, _ in g.aggs]
+        # an array's group-by comes from an update (rule 15a), whose last
+        # step looks up the pre-update value
+        if not (_is_update(st.term, ndims) and isinstance(rest[-1], Lookup)):
+            raise BackendError(f"a grouped array assignment that is not an update: {show(st.term)}")
+        _apply(split, tuple(rest[:-1]), env, mq, {})
+        look = rest[-1]
+        sql = _update_rows(old, look.var, _lit(look.default), split, m.head, env, mq, ndims)
+        out[st.name] = mq.run(sql, show(st.term))
+    return out
+
+
+def run_group(st: TGroup, env: dict, spark: SparkSession, types: dict) -> None:
+    """Run a group of sibling assignments (``plan.fuse_code``), each
+    reading the state from before the group."""
+    gp = plan_group([member_comp(s) for s in st.stmts])
+    if gp is None:
+        raise BackendError("a group of statements that share no scan")
+    env.update(_group_scalars(gp, st.stmts, env, spark) if gp.total else
+               _group_arrays(gp, st.stmts, env, spark, types))
+
+
 # ------------------------------------------------------------ execution
 def run_code(code, env: dict, spark: SparkSession, types: dict) -> dict:
     """Execute target code, updating and returning the environment."""
@@ -583,6 +732,8 @@ def run_code(code, env: dict, spark: SparkSession, types: dict) -> dict:
                 present, v = eval_scalar(st.term, env, spark)
                 if present:
                     env[st.name] = v
+        elif isinstance(st, TGroup):
+            run_group(st, env, spark, types)
         elif isinstance(st, TWhile):
             carried = _carried_arrays(st.body, types)
             cond_reads = bool(set(state_refs(st.cond)) & set(carried))
@@ -627,6 +778,13 @@ def _carried_arrays(body, types) -> list:
                 for n in state_refs(st.cond):
                     first.setdefault(n, False)
                 walk(st.body)
+                continue
+            if isinstance(st, TGroup):
+                # every member reads before any writes
+                for s in st.stmts:
+                    for n in state_refs(s.term):
+                        first.setdefault(n, False)
+                walk(st.stmts)
                 continue
             if isinstance(st, TAssign):
                 for n in state_refs(st.term):

@@ -13,9 +13,14 @@ driver-side values compute with these tables, and normalization folds
 constants with ``BIN``. The translator writes each update's identity
 into the IR itself (``identity``), so neither engine reads
 ``IDENTITY``; the interpreter does. The Spark engine spells the same
-operators in SQL; where Spark's meaning is the reference (NaN orders
-above every double in ``min``, ``max`` and ``argmin``), the functions
-here follow it.
+operators in SQL; where Spark's meaning is the reference (NaN equals
+itself and orders above every double, in the comparisons, ``min``,
+``max`` and ``argmin``), the functions here follow it. Over doubles,
+``sqrt``, ``exp`` and ``log`` give IEEE 754's NaN and infinities, as
+Java's ``Math`` does, where Python's ``math`` raises; Spark's spelling
+of ``log`` follows them too. A division or remainder by zero raises on
+every engine, and so does ``floor`` or ``ceil`` of a NaN or an
+infinity.
 """
 from __future__ import annotations
 
@@ -80,18 +85,47 @@ def _argmin(a, b):
     return a if a[1] <= b[1] or b[1] != b[1] else b
 
 
+# Spark's comparisons of doubles: NaN equals NaN and is above every
+# other double. For values that are not NaN these are Python's own.
+def _eq(a, b):
+    return a == b or (a != a and b != b)
+
+
+def _lt(a, b):
+    return a < b or (b != b and a == a)
+
+
+def _le(a, b):
+    return a <= b or b != b
+
+
+def _sqrt(x):
+    return math.sqrt(x) if x >= 0 else math.nan
+
+
+def _exp(x):
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _log(x):
+    return math.log(x) if x > 0 else -math.inf if x == 0 else math.nan
+
+
 BIN = {
     "+": _plus,
     "-": lambda a, b: a - b,
     "*": lambda a, b: a * b,
     "/": lambda a, b: a / b,
     "%": lambda a, b: a % b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "==": _eq,
+    "!=": lambda a, b: not _eq(a, b),
+    "<": _lt,
+    "<=": _le,
+    ">": lambda a, b: _lt(b, a),
+    ">=": lambda a, b: _le(b, a),
     "&&": lambda a, b: a and b,
     "||": lambda a, b: a or b,
     "min": _min,
@@ -100,10 +134,10 @@ BIN = {
 }
 
 CALLS = {
-    "sqrt": math.sqrt,
+    "sqrt": _sqrt,
     "abs": abs,
-    "exp": math.exp,
-    "log": math.log,
+    "exp": _exp,
+    "log": _log,
     "floor": math.floor,
     "ceil": math.ceil,
     "dist2": lambda p, c: (p[0] - c[0]) ** 2 + (p[1] - c[1]) ** 2,

@@ -262,8 +262,10 @@ class Parser:
         e = self.parse_expr(level + 1)
         while self.peek()[1] in ops:
             e = EBin(self.next()[1], e, self.parse_expr(level + 1))
-            if not chains:
-                break
+            if not chains and self.peek()[1] in ops:
+                raise ParseError(
+                    f"comparisons do not chain: {self.peek()[1]!r} after {e.op!r}"
+                )
         return e
 
     def parse_unary(self):

@@ -1,5 +1,5 @@
 """End-to-end DIABLO pipeline: parse → check → translate → normalize →
-optimize → execute on Spark.
+optimize → fuse → execute on Spark.
 
 ``compile_program`` is the compile-time half (what Table 1 measures);
 ``run_program`` executes the compiled target code over a state
@@ -15,6 +15,7 @@ from .backend import run_code
 from .normalize import normalize_code
 from .optimize import optimize_code
 from .parser import parse
+from .plan import fuse_code
 from .restrictions import check_program
 from .translate import translate_program
 
@@ -28,18 +29,25 @@ class Compiled:
     source: str
 
 
-def compile_program(src: str, extern_types: dict | None = None) -> Compiled:
+def compile_program(
+    src: str, extern_types: dict | None = None, fuse: bool = True
+) -> Compiled:
     """Compile loop-language source to optimized target code.
 
     ``extern_types`` declares the types of input state (arrays fed in
     from outside rather than declared with ``var``), e.g.
-    ``{"V": TArray(1, TBasic("double"))}``.
+    ``{"V": TArray(1, TBasic("double"))}``. With ``fuse`` (the
+    default), sibling assignments over one source are grouped to run as
+    one scan (``plan.fuse_code``); ``fuse=False`` keeps the paper's one
+    query per statement.
     """
     ast = parse(src)
     check_program(ast)
     code, types = translate_program(ast, extern_types)
     code = normalize_code(code)
     code = optimize_code(code)
+    if fuse:
+        code = fuse_code(code)
     return Compiled(code, types, src)
 
 

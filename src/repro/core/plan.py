@@ -23,10 +23,14 @@ the array scan, and without hoisting a two-array access would be a
 cross join plus a filter. Key-pattern names rebound by a group-by are
 bound to the same values before the group-by, so key filters commute
 too.
+
+``plan_group`` lowers sibling comprehensions that start with the same
+scan and joins to those shared steps plus each one's own; ``fuse_code``
+groups the target-code assignments it can serve into a ``TGroup``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .comprehension import (
@@ -39,8 +43,11 @@ from .comprehension import (
     GroupByQ,
     InRange,
     LetQ,
+    Merge,
     OuterLookup,
     Proj,
+    PTuple,
+    PVar,
     RangeT,
     StateRef,
     TupleT,
@@ -50,10 +57,13 @@ from .comprehension import (
     free_vars,
     pat_vars,
     show,
+    state_refs,
     sub_aggs,
+    subst,
     unagg,
 )
 from .monoids import BIN, CALLS
+from .translate import TAssign, TGroup, TWhile
 
 
 class PlanError(Exception):
@@ -262,6 +272,158 @@ def plan(comp: Comp) -> Plan:
     if steps and not any(isinstance(s, GroupBy) for s in steps) and aggs(comp.head):
         steps.append(Total(name_aggs([comp.head])))
     return Plan(tuple(driver), tuple(steps), reduce(comp.head))
+
+
+# ------------------------------------------------------- sibling groups
+@dataclass(frozen=True)
+class GroupPlan:
+    """Sibling comprehensions over one source (``plan_group``):
+    ``shared`` are the steps they all start with, a ``Scan`` and then
+    joins, filters and lets; each of ``members`` (a ``Plan`` with no
+    driver steps) continues from the rows ``shared`` gives with its own
+    ``Filter`` (if it has conditions), then its ``GroupBy`` or ``Total``,
+    whose terms read only the names ``shared`` binds, then the rest of
+    its steps. ``total`` tells which of the two reductions they all end
+    with."""
+
+    shared: tuple
+    members: tuple
+    total: bool
+
+
+def _canonical(c: Comp) -> Comp:
+    """``c`` with its bound variables renamed ``_b0, _b1, …`` in the
+    order they are bound, so that comprehensions that differ only in
+    those names are equal and plan to equal steps."""
+    ren: dict = {}
+
+    def pat(p):
+        if isinstance(p, PVar):
+            return PVar(ren.setdefault(p.name, f"_b{len(ren)}"))
+        return PTuple(tuple(map(pat, p.items)))
+
+    quals = []
+    for q in c.quals:
+        q = subst(q, {o: Var(n) for o, n in ren.items()})
+        if isinstance(q, OuterLookup):
+            q = replace(q, var=pat(PVar(q.var)).name)
+        elif not isinstance(q, Cond):
+            q = replace(q, pat=pat(q.pat))
+        quals.append(q)
+    return Comp(subst(c.head, {o: Var(n) for o, n in ren.items()}), tuple(quals))
+
+
+def _own(steps: tuple) -> Optional[tuple]:
+    """A member's steps after the shared ones, ``(Filter|Let)* reduction
+    rest``, as ``[Filter] reduction rest`` with each let inlined into the
+    terms after it; None if a join or a second source follows, or no
+    ``GroupBy`` or ``Total``."""
+    env: dict = {}
+    conds: list = []
+    for i, st in enumerate(steps):
+        if isinstance(st, Filter):
+            conds.extend(subst(c, env) for c in st.conds)
+        elif isinstance(st, Let):
+            e = subst(st.expr, env)
+            env.update({st.names[0]: e} if len(st.names) == 1 else {
+                n: Proj(e, f"_{j + 1}") for j, n in enumerate(st.names)
+            })
+        elif isinstance(st, (GroupBy, Total)):
+            rest = steps[i + 1:]
+            if any(isinstance(r, (Join, Scan, Range)) for r in rest):
+                return None
+            aggs = tuple((n, m, subst(e, env)) for n, m, e in st.aggs)
+            red = (GroupBy(st.names, tuple(subst(k, env) for k in st.keys), aggs)
+                   if isinstance(st, GroupBy) else Total(aggs))
+            return ((Filter(tuple(conds)),) if conds else ()) + (red,) + rest
+        else:
+            return None
+    return None
+
+
+def plan_group(comps) -> Optional[GroupPlan]:
+    """Lower sibling comprehensions to one ``GroupPlan``: they must plan
+    without driver steps, start with the same scan of an array and the
+    same joins, up to the names of their variables, and all end in a
+    ``GroupBy`` or all in a ``Total``. None if they do not."""
+    plans = [plan(_canonical(c)) for c in comps]
+    first = plans[0].steps
+    if any(p.driver or not p.steps for p in plans) or not isinstance(first[0], Scan):
+        return None
+    n = 0
+    while n < len(first) and isinstance(first[n], (Scan, Join, Filter, Let)) and all(
+        n < len(p.steps) and p.steps[n] == first[n] for p in plans
+    ):
+        n += 1
+    own = [_own(p.steps[n:]) for p in plans]
+    if any(o is None for o in own):
+        return None
+    kinds = {isinstance(o[1] if isinstance(o[0], Filter) else o[0], Total) for o in own}
+    if len(kinds) > 1:
+        return None
+    return GroupPlan(first[:n], tuple(Plan((), o, p.head) for o, p in zip(own, plans)),
+                     kinds.pop())
+
+
+def member_comp(st: TAssign):
+    """The comprehension of an assignment that may join a group: a
+    scalar's term, or the new bag of an array's merge into itself."""
+    t = st.term
+    if isinstance(t, Comp):
+        return t
+    if isinstance(t, Merge) and t.old == StateRef(st.name) and isinstance(t.new, Comp):
+        return t.new
+    return None
+
+
+def _fits(group: list, st: TAssign) -> bool:
+    """Whether ``st`` can join the assignments ``group``: a destination
+    of its own, none of theirs read by it nor its read by them, its
+    comprehension of the same kind (a scalar's ``Total``, an array's
+    ``GroupBy``), and one ``GroupPlan`` for all of them."""
+    names = {g.name for g in group}
+    if st.name in names or names & set(state_refs(st.term)):
+        return False
+    if any(st.name in state_refs(g.term) for g in group):
+        return False
+    comps = [member_comp(s) for s in group + [st]]
+    if any(c is None for c in comps):
+        return False
+    try:
+        gp = plan_group(comps)
+    except PlanError:  # left alone, running it reports the error
+        return False
+    return gp is not None and all(
+        gp.total == isinstance(s.term, Comp) for s in group + [st]
+    )
+
+
+def fuse_code(code: list) -> list:
+    """Group each run of consecutive assignments that one scan can serve
+    (``_fits``) into a ``TGroup``, in ``while`` bodies too. Sources that
+    are ranges are never grouped: a range costs nothing to generate
+    again."""
+    out: list = []
+    run: list = []
+
+    def close():
+        if run:
+            out.append(run[0] if len(run) == 1 else TGroup(list(run)))
+            run.clear()
+
+    for st in code:
+        if isinstance(st, TAssign) and run and _fits(run, st):
+            run.append(st)
+            continue
+        close()
+        if isinstance(st, TAssign):
+            run.append(st)
+        elif isinstance(st, TWhile):
+            out.append(TWhile(st.cond, fuse_code(st.body)))
+        else:
+            out.append(st)
+    close()
+    return out
 
 
 # ------------------------------------------------------ Python evaluation

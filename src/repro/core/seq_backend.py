@@ -26,10 +26,12 @@ from .plan import (
     Total,
     bind,
     compile_term,
+    member_comp,
     plan,
+    plan_group,
     run_driver,
 )
-from .translate import TAssign, TInit, TWhile
+from .translate import TAssign, TGroup, TInit, TWhile
 
 
 class SeqError(Exception):
@@ -76,8 +78,13 @@ def eval_comp(comp: Comp, env: dict):
         return None
     if not p.steps:
         return [b], p.head
-    rows = _source(p.steps[0], env, b)
-    for st in p.steps[1:]:
+    return _run_steps(_source(p.steps[0], env, b), p.steps[1:], env, b), p.head
+
+
+def _run_steps(rows: list, steps: tuple, env: dict, b: dict) -> list:
+    """Rows (dicts) extended by plan steps; ``b`` holds the driver's
+    bindings."""
+    for st in steps:
         if isinstance(st, Join):
             new = _source(st.source, env, b)
             fs = [compile_term(c, env) for c in st.residual]
@@ -125,7 +132,7 @@ def eval_comp(comp: Comp, env: dict):
                 rows = [{n: fold(rows) for n, fold in _folds(st.aggs, env)}]
         else:
             raise SeqError(f"unknown plan step {st!r}")
-    return rows, p.head
+    return rows
 
 
 def _bag_to_dict(term, env, ndims: int):
@@ -140,9 +147,10 @@ def _bag_to_dict(term, env, ndims: int):
     if isinstance(term, StateRef):
         return env[term.name]
     res = eval_comp(term, env)
-    if res is None:
-        return None
-    rows, head = res
+    return None if res is None else _rows_to_dict(*res, env, ndims)
+
+
+def _rows_to_dict(rows: list, head, env: dict, ndims: int) -> dict:
     fs = [compile_term(x, env) for x in head.items]
     if ndims == 1:
         return {fs[0](r): fs[1](r) for r in rows}
@@ -155,14 +163,40 @@ def _eval_scalar(term, env):
     if not isinstance(term, Comp):
         return True, compile_term(term, env)({})
     res = eval_comp(term, env)
-    if res is None or not res[0]:
+    return (False, None) if res is None else _row_value(*res, env, term)
+
+
+def _row_value(rows: list, head, env: dict, term):
+    """(present, value) of a scalar's head over at most one row."""
+    if not rows:
         return False, None
-    rows, head = res
     if len(rows) > 1:
         raise SeqError(
             f"scalar assignment from a bag with more than one element: {show(term)}"
         )
     return True, compile_term(head, env)(rows[0])
+
+
+def run_group_seq(st: TGroup, env: dict, types: dict) -> None:
+    """Run a group of sibling assignments (``plan.fuse_code``): the
+    shared steps once, then each member's own steps over their rows,
+    each member reading the state from before the group."""
+    gp = plan_group([member_comp(s) for s in st.stmts])
+    if gp is None:
+        raise SeqError("a group of statements that share no scan")
+    rows = _run_steps(_source(gp.shared[0], env, {}), gp.shared[1:], env, {})
+    new = {}
+    for s, m in zip(st.stmts, gp.members):
+        # a member's steps start with a filter or a reduction, which
+        # build new rows: the shared ones are not changed
+        own = _run_steps(rows, m.steps, env, {})
+        if isinstance(s.term, Comp):
+            present, v = _row_value(own, m.head, env, s.term)
+            if present:
+                new[s.name] = v
+        else:
+            new[s.name] = {**env[s.name], **_rows_to_dict(own, m.head, env, types[s.name].ndims)}
+    env.update(new)
 
 
 def run_code_seq(code, env: dict, types: dict) -> dict:
@@ -178,6 +212,8 @@ def run_code_seq(code, env: dict, types: dict) -> dict:
                 present, v = _eval_scalar(st.term, env)
                 if present:
                     env[st.name] = v
+        elif isinstance(st, TGroup):
+            run_group_seq(st, env, types)
         elif isinstance(st, TWhile):
             while True:
                 present, c = _eval_scalar(st.cond, env)

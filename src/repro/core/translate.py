@@ -22,7 +22,9 @@ array-assignment comprehension is the flat tuple
 ``((i1,…,in), v)`` pairs but simpler to map onto DataFrame columns.
 
 Target code (Section 3.8): assignments of bag-valued terms to state
-variables, while-loops, and blocks (Python lists).
+variables, while-loops, and blocks (Python lists). A group of sibling
+assignments that one scan can serve (``plan.fuse_code``) is our
+addition.
 """
 from __future__ import annotations
 
@@ -78,6 +80,16 @@ class TWhile:
     body: list = field(default_factory=list)
 
 
+@dataclass
+class TGroup:
+    """Consecutive assignments (``TAssign``) over one source, none of
+    which reads another's destination, run together by one scan of that
+    source (``plan.fuse_code``); each reads the state from before the
+    group, as it would in its place in the sequence."""
+
+    stmts: list
+
+
 class TranslationError(Exception):
     pass
 
@@ -92,6 +104,8 @@ def map_code(code: list, f) -> list:
             out.append(TAssign(st.name, f(st.term)))
         elif isinstance(st, TWhile):
             out.append(TWhile(f(st.cond), map_code(st.body, f)))
+        elif isinstance(st, TGroup):
+            out.append(TGroup(map_code(st.stmts, f)))
         elif isinstance(st, TInit):
             out.append(st)
         else:

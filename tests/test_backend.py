@@ -2,7 +2,7 @@
 import pytest
 
 from repro.core import ast as A
-from repro.core.backend import empty_array, merge_arrays, spark_type
+from repro.core.backend import empty_array, spark_type
 from repro.core.convert import df_to_dict, dict_to_df
 from repro.core.pipeline import compile_program, run_program
 
@@ -43,17 +43,17 @@ def test_empty_map_string_key(spark):
 
 
 def test_merge_prefers_new(spark):
-    old = dict_to_df(spark, {0: 1.0, 1: 2.0}, VEC_D)
-    new = dict_to_df(spark, {1: 99.0, 2: 3.0}, VEC_D)
-    out = df_to_dict(merge_arrays(old, new, 1), 1)
-    assert out == {0: 1.0, 1: 99.0, 2: 3.0}
+    # V ⊲ {(i, W[i])}: a full outer join of V with W's rows
+    env = {"V": {0: 1.0, 1: 2.0}, "W": {1: 99.0, 2: 3.0}}
+    _, out = run(spark, "for i = 0, 2 do V[i] := W[i];", env, {"V": VEC_D, "W": VEC_D})
+    assert df_to_dict(out["V"], 1) == {0: 1.0, 1: 99.0, 2: 3.0}
 
 
 def test_merge_matrix_keys(spark):
-    old = dict_to_df(spark, {(0, 0): 1.0}, MAT_D)
-    new = dict_to_df(spark, {(0, 0): 5.0, (1, 1): 2.0}, MAT_D)
-    out = df_to_dict(merge_arrays(old, new, 2), 2)
-    assert out == {(0, 0): 5.0, (1, 1): 2.0}
+    env = {"M": {(0, 0): 1.0}, "N": {(0, 0): 5.0, (1, 1): 2.0}}
+    src = "for i = 0, 1 do for j = 0, 1 do M[i, j] := N[i, j];"
+    _, out = run(spark, src, env, {"M": MAT_D, "N": MAT_D})
+    assert df_to_dict(out["M"], 2) == {(0, 0): 5.0, (1, 1): 2.0}
 
 
 def test_range_generator(spark):

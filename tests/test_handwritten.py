@@ -58,10 +58,24 @@ def _plan_shape(df):
 
 
 @pytest.mark.parametrize("name", ["Word Count", "Histogram", "Group-By"])
-def test_fresh_target_plans_match_handwritten(pair_results, name):
+def test_fresh_target_plans_match_handwritten(spark, pair_results, name):
     # the generated outer lookup and ⊲ merge against a just-initialised
     # (empty) target are pruned by Catalyst, leaving the hand-written
-    # program's single group-by shuffle
-    _, diablo, hand = pair_results[name]
+    # program's single group-by shuffle; checked on the one-query-per-
+    # statement translation, as Histogram's three updates are otherwise
+    # one group (test_fused_histogram_outputs_read_one_checkpoint)
+    prog = BY_NAME[name]
+    spark_env, _, types = build_envs(prog, "tiny", spark)
+    diablo = run_program(compile_program(prog.source, types, fuse=False), spark_env, spark)
+    _, _, hand = pair_results[name]
     for out, hv in hand.items():
         assert _plan_shape(diablo[out]) == _plan_shape(hv) == (1, 0), out
+
+
+def test_fused_histogram_outputs_read_one_checkpoint(pair_results):
+    # the one GROUP BY of the three updates ran when the group did: each
+    # output only filters its rows, with no shuffle and no join
+    compiled, diablo, hand = pair_results["Histogram"]
+    assert [type(st).__name__ for st in compiled.code][-1] == "TGroup"
+    for out in hand:
+        assert _plan_shape(diablo[out]) == (0, 0), out

@@ -3,12 +3,13 @@ Spark and in the sequential engine, over edge values and the empty bag,
 and the identity each update falls back to keeps the destination's
 type."""
 import pytest
+from pyspark.errors import PySparkException
 from pyspark.sql import types as T
 
 from repro.core import ast as A
-from repro.core.backend import _agg_sql, py_value, spark_type
-from repro.core.comprehension import Var
-from repro.core.monoids import IDENTITY, LONG_MAX, LONG_MIN
+from repro.core.backend import _agg_sql, py_value, spark_type, to_sql
+from repro.core.comprehension import BinOp, Call, Const, Var
+from repro.core.monoids import BIN, CALLS, IDENTITY, LONG_MAX, LONG_MIN
 from repro.core.pipeline import compile_program, run_program
 from repro.core.seq_backend import _folds
 from repro.programs.suite import BY_NAME, build_envs
@@ -110,3 +111,65 @@ def test_nan_scalar_update_over_no_rows_stays_nan(spark, op, filtered):
     for out in three_engines(spark, src, env, {"V": A.TArray(1, D)}):
         assert _same(out["m"], NAN), src
 
+
+
+# ----------------------------------------------- scalar operator spellings
+# (operator or function, operands): Spark's spelling of each (``to_sql``)
+# must give what ``BIN`` and ``CALLS`` give the interpreter and seq, or
+# raise where they raise. Operands stay inside the int32 range, with
+# results too: a long's overflow is an open contract.
+CMP = ("==", "!=", "<", "<=", ">", ">=")
+OPS = [
+    *[("+", a, b) for a, b in ((3, -7), (-2.5, 0.5), (1.0, NAN), (INF, -INF))],
+    *[("-", a, b) for a, b in ((-3, 5), (2.5, -0.5), (NAN, 1.0))],
+    *[("*", a, b) for a, b in ((-4, 6), (0, -3), (0.0, INF), (-1.5, NAN))],
+    *[("/", a, b) for a, b in ((7, 2), (-7, 2), (7, -2), (-7, -2), (0, 5), (1, 0),
+                                (-7.5, 2.0), (1.0, 0.0), (0.0, 0.0), (NAN, 2.0), (3.0, INF))],
+    *[("%", a, b) for a, b in ((7, 3), (-7, 3), (7, -3), (-7, -3), (0, 3), (6, -3), (5, 0),
+                                (-7.5, 2.0), (7.5, -2.0), (-7.5, -2.0), (NAN, 2.0),
+                                (5.0, NAN), (5.0, 0.0), (INF, 2.0))],
+    *[(op, a, b) for op in CMP for a, b in ((1, 2), (2, 2), (-1, -2), (1.0, NAN), (NAN, 1.0),
+                                             (NAN, NAN), (INF, NAN), (-0.0, 0.0), ("a", "b"))],
+    *[(op, a, b) for op in ("&&", "||") for a, b in ((True, False), (False, False), (True, True))],
+    *[(op, a, b) for op in ("min", "max")
+      for a, b in ((3, -2), (-1.5, 2.0), (NAN, 1.0), (1.0, NAN))],
+    *[("argmin", a, b) for a, b in (((1, 2.0), (2, 1.0)), ((1, NAN), (2, 1.0)),
+                                    ((1, 1.0), (2, NAN)), (None, (2, 1.0)), ((1, 2.0), None))],
+]
+CALL_ROWS = [
+    *[("sqrt", (x,)) for x in (4.0, 2, 0.0, -0.0, -4.0, NAN, INF)],
+    *[("abs", (x,)) for x in (-3, 0, -2.5, NAN, -INF)],
+    *[("exp", (x,)) for x in (0, -1.5, 1000.0, -1000.0, NAN, -INF)],
+    *[("log", (x,)) for x in (1, 2.5, 0.0, -0.0, -1.0, 0, NAN, INF)],
+    *[(f, (x,)) for f in ("floor", "ceil") for x in (-2.5, 2.5, -0.5, 7, -7, NAN, INF, -INF)],
+    *[("dist2", (p, c))
+      for p, c in (((1.0, 2.0), (4.0, -2.0)), ((0, 0), (3, 4)), ((1.0, NAN), (0.0, 0.0)))],
+    *[("coalesce", (a, b)) for a, b in ((None, 3), (2, 3), (None, 2.5))],
+]
+
+
+def test_table_covers_every_operator_and_function():
+    assert {r[0] for r in OPS} == BIN.keys()
+    assert {r[0] for r in CALL_ROWS} == CALLS.keys()
+
+
+RAISES = "raises"
+
+
+def _outcome(fn):
+    """The value ``fn`` returns, or the marker ``RAISES``."""
+    try:
+        return fn()
+    except (ArithmeticError, ValueError, PySparkException):
+        return RAISES
+
+
+@pytest.mark.parametrize("term,want", [
+    *[(BinOp(op, Const(a), Const(b)), lambda op=op, a=a, b=b: BIN[op](a, b)) for op, a, b in OPS],
+    *[(Call(f, tuple(map(Const, xs))), lambda f=f, xs=xs: CALLS[f](*xs)) for f, xs in CALL_ROWS],
+], ids=[f"{r[1]!r} {r[0]} {r[2]!r}" for r in OPS] + [f"{f}{xs!r}" for f, xs in CALL_ROWS])
+def test_spark_spelling_agrees_with_python(spark, term, want):
+    sql = f"SELECT {to_sql(term, {})} AS `x`"
+    got = _outcome(lambda: py_value(spark.sql(sql).collect()[0]["x"]))
+    expected = _outcome(want)
+    assert _same(got, expected), f"{term}: spark {got!r}, python {expected!r}"

@@ -57,6 +57,14 @@ def test_comparisons_do_not_chain():
         parse_expr("a < b < c")
 
 
+def test_chained_comparison_in_a_statement_is_reported_as_such():
+    # it used to end the statement after "a < b" and fail on "<" as a
+    # destination
+    with pytest.raises(ParseError, match="comparisons do not chain"):
+        parse("x := a < b < c;")
+    assert parse("x := (a < b) == c;").stmts[0].expr.op == "=="
+
+
 def test_boolean_ops():
     e = parse_expr("a && b || c")
     assert e == A.EBin("||", A.EBin("&&", A.EVar("a"), A.EVar("b")), A.EVar("c"))
