@@ -25,23 +25,21 @@ the query as literals typed as ``F.lit`` would type them.
 An incremental update (rule 15a: ``X ⊲ {(k, w ⊕ ⊕/v) | …, group by k,
 w <~ X[k] ?? id}``) is that one join: the lookup of the pre-update
 value ``w`` reads the old side of the merge's join instead of joining
-``X`` a second time. A merge into a just-initialised array is the new
-bag alone, with no join; every lookup into it misses.
+``X`` a second time. A merge into a just-initialised array (a
+``fresh`` assignment, ``translate.mark_fresh``) is the new bag alone,
+with no join; every lookup into it misses.
 
 The plan applies conditions as soon as all their variables are bound,
 which lets the Section 3.6 ``inRange`` predicates land on the array
 scans.
 
-A ``while`` loop checkpoints the arrays that carry state across
-iterations before each iteration that reads them, so not after the
-last one: there they stay lazy, and each later read of such an array
-computes the last iteration again (no suite program reads one twice).
+``plan.exec_code`` runs the statements; at a ``while`` loop's
+iteration boundary this engine checkpoints the loop-carried arrays.
 """
 from __future__ import annotations
 
 import math
 import numbers
-import weakref
 
 from pyspark.errors import AnalysisException
 from pyspark.sql import DataFrame, Row, SparkSession
@@ -63,7 +61,6 @@ from .comprehension import (
     UnOp,
     Var,
     show,
-    state_refs,
     subst,
 )
 from .plan import (
@@ -75,12 +72,10 @@ from .plan import (
     Scan,
     Total,
     compile_term,
-    member_comp,
+    exec_code,
     plan,
-    plan_group,
     run_driver,
 )
-from .translate import TAssign, TGroup, TInit, TWhile
 
 
 class BackendError(Exception):
@@ -121,21 +116,18 @@ def _sql_type(dt: T.DataType) -> str:
     return dt.simpleString().upper()
 
 
-# the arrays empty_array returned, each mapped to its columns' SQL types:
-# a merge into one of them is the new bag alone, with no join
-_FRESH: "weakref.WeakKeyDictionary[DataFrame, list]" = weakref.WeakKeyDictionary()
+def _col_types(t: A.TArray) -> list:
+    """The SQL types of the columns of an array of type ``t``."""
+    return [_sql_type(f.dataType) for f in array_schema(t).fields]
 
 
 def empty_array(spark: SparkSession, t: A.TArray) -> DataFrame:
-    types = [_sql_type(f.dataType) for f in array_schema(t).fields]
     items = ", ".join(
-        f"CAST(NULL AS {ty}) AS {_id(c)}" for c, ty in zip(_key_cols(t.ndims), types)
+        f"CAST(NULL AS {ty}) AS {_id(c)}" for c, ty in zip(_key_cols(t.ndims), _col_types(t))
     )
     # LIMIT 0 makes the emptiness visible to Catalyst (an empty
     # LocalRelation) for the reads of a fresh array that are not merges
-    df = _Query(spark).run(f"SELECT {items} LIMIT 0", "an empty array")
-    _FRESH[df] = types
-    return df
+    return _Query(spark).run(f"SELECT {items} LIMIT 0", "an empty array")
 
 
 # -------------------------------------------------------- SQL lowering
@@ -443,11 +435,12 @@ def _array(env: dict, name: str) -> DataFrame:
     return df
 
 
-def _bag_sql(term, env, qb: _Query, ndims: int):
+def _bag_sql(term, env, qb: _Query, ndims: int, fresh=None):
     """A bag term's ``(_k1.._kn, _v)`` rows: the SELECT text that
     computes them, the array DataFrame itself when they are one that
     exists, or None for a generator-free comprehension whose condition
-    is false (the empty bag)."""
+    is false (the empty bag). ``fresh`` holds the column types of a
+    merge target that is fresh, else None."""
     if isinstance(term, StateRef):
         return _array(env, term.name)
     if isinstance(term, Merge):
@@ -455,11 +448,11 @@ def _bag_sql(term, env, qb: _Query, ndims: int):
             raise BackendError("merge target must be a state array")
         old = _array(env, term.old.name)
         if _is_update(term, ndims):
-            new = _update_sql(old, term.new, env, qb, ndims)
+            new = _update_sql(old, term.new, env, qb, ndims, fresh)
         else:
             new = _bag_sql(term.new, env, qb, ndims)
             if new is not None:
-                new = _merge_sql(qb, old, new, ndims)
+                new = _merge_sql(qb, old, new, ndims, fresh)
         return old if new is None else new  # empty bag: V ⊲ ∅ = V
     if not isinstance(term, Comp):
         raise BackendError(f"cannot evaluate bag term {show(term)}")
@@ -484,17 +477,7 @@ def _bag_sql(term, env, qb: _Query, ndims: int):
     return f"SELECT {', '.join(items)} FROM {fr.src}"
 
 
-def eval_bag_to_array(term, env, spark, ndims: int) -> DataFrame:
-    """Evaluate a bag term into an array DataFrame ``(_k1.._kn, _v)``
-    with one Spark SQL query."""
-    qb = _Query(spark)
-    sql = _bag_sql(term, env, qb, ndims)
-    if sql is None or isinstance(sql, DataFrame):
-        return sql
-    return qb.run(sql, show(term))
-
-
-def _merge_sql(qb: _Query, old: DataFrame, new, ndims: int) -> str:
+def _merge_sql(qb: _Query, old: DataFrame, new, ndims: int, fresh) -> str:
     """``old ⊲ new`` for an array ``old`` and the rows ``new`` (an array
     or the SELECT text of a bag): union preferring ``new`` on key
     collisions. Into a fresh ``old`` this is ``new`` alone."""
@@ -503,8 +486,8 @@ def _merge_sql(qb: _Query, old: DataFrame, new, ndims: int) -> str:
         new = qb.scan(new, ncols)
     else:
         new = f"({new}) AS {qb.alias()}({', '.join(map(_id, ncols))})"
-    if old in _FRESH:
-        return _fresh_sql(_FRESH[old], list(map(_id, ncols)), new)
+    if fresh:
+        return _fresh_sql(fresh, list(map(_id, ncols)), new)
     pairs = list(zip(_key_cols(ndims), ncols))
     items = [f"coalesce({_id(n)}, {_id(k)}) AS {_id(k)}" for k, n in pairs]
     on = " AND ".join(f"({_id(k)} = {_id(n)})" for k, n in pairs[:-1])
@@ -542,7 +525,7 @@ def _is_update(term: Merge, ndims: int) -> bool:
     )
 
 
-def _update_sql(old: DataFrame, comp: Comp, env, qb: _Query, ndims: int):
+def _update_sql(old: DataFrame, comp: Comp, env, qb: _Query, ndims: int, fresh):
     """An update (see ``_is_update``) of ``old`` as one query: the bag
     ``q`` without the lookup, ``old FULL OUTER JOIN q`` on the key with
     ``w = coalesce(old._v, d)``, and the value ``f(w, …)`` where a row of
@@ -553,19 +536,18 @@ def _update_sql(old: DataFrame, comp: Comp, env, qb: _Query, ndims: int):
     res = _relation(Comp(comp.head, comp.quals[:-1]), env, qb)
     if res is None:
         return None
-    return _update_rows(old, look.var, to_sql(look.default, env), *res, env, qb, ndims)
+    return _update_rows(old, look.var, to_sql(look.default, env), *res, env, qb, ndims, fresh)
 
 
 def _update_rows(old: DataFrame, var: str, default: str, fr: _Frontier, head,
-                 env, qb: _Query, ndims: int) -> str:
+                 env, qb: _Query, ndims: int, fresh) -> str:
     """``_update_sql`` over the relation ``fr`` of the update's bag
     without its lookup, which binds ``var`` to ``old``'s value, else to
     the SQL ``default``."""
     exprs = [to_sql(x, env) for x in head.items]
-    types = _FRESH.get(old)
-    if types:
-        fr.select(qb, fr.with_cols({var: f"coalesce(CAST(NULL AS {types[-1]}), {default})"}))
-        return _fresh_sql(types, exprs, fr.src)
+    if fresh:
+        fr.select(qb, fr.with_cols({var: f"coalesce(CAST(NULL AS {fresh[-1]}), {default})"}))
+        return _fresh_sql(fresh, exprs, fr.src)
     ocols = _key_cols(ndims, f"_lk_{var}_", f"_lv_{var}")
     scan = qb.scan(old, ocols)
     ocols = list(map(_id, ocols))
@@ -581,32 +563,6 @@ def _update_rows(old: DataFrame, var: str, default: str, fr: _Frontier, head,
     return "SELECT " + ", ".join(
         f"{e} AS {_id(c)}" for e, c in zip(items, _key_cols(ndims))
     ) + f" FROM {fr.src}"
-
-
-def eval_scalar(term, env, spark):
-    """Evaluate a bag term expected to hold ≤1 scalar element. Returns
-    (present, value): an empty bag leaves the destination unchanged
-    (matching the Figure-4 conditional semantics)."""
-    if isinstance(term, Comp):
-        qb = _Query(spark)
-        res = _relation(term, env, qb)
-        if res is None:
-            return False, None
-        fr, head = res
-        if fr is None:
-            return True, head
-        sql = f"SELECT {to_sql(head, env)} AS `_v` FROM {fr.src}"
-        # not limit(2): it scans partitions incrementally and launches
-        # a second job whenever the first partition holds no row
-        out = qb.run(sql, show(term)).collect()
-        if not out:
-            return False, None
-        if len(out) > 1:
-            raise BackendError(
-                f"scalar assignment from a bag with more than one element: {show(term)}"
-            )
-        return True, py_value(out[0]["_v"])
-    return True, compile_term(term, env)({})
 
 
 # ------------------------------------------------------ sibling groups
@@ -703,97 +659,58 @@ def _group_arrays(gp, stmts, env: dict, spark: SparkSession, types: dict) -> dic
             raise BackendError(f"a grouped array assignment that is not an update: {show(st.term)}")
         _apply(split, tuple(rest[:-1]), env, mq, {})
         look = rest[-1]
-        sql = _update_rows(old, look.var, _lit(look.default), split, m.head, env, mq, ndims)
+        fresh = _col_types(types[st.name]) if st.fresh else None
+        sql = _update_rows(old, look.var, _lit(look.default), split, m.head, env, mq,
+                           ndims, fresh)
         out[st.name] = mq.run(sql, show(st.term))
     return out
 
 
-def run_group(st: TGroup, env: dict, spark: SparkSession, types: dict) -> None:
-    """Run a group of sibling assignments (``plan.fuse_code``), each
-    reading the state from before the group."""
-    gp = plan_group([member_comp(s) for s in st.stmts])
-    if gp is None:
-        raise BackendError("a group of statements that share no scan")
-    env.update(_group_scalars(gp, st.stmts, env, spark) if gp.total else
-               _group_arrays(gp, st.stmts, env, spark, types))
-
-
 # ------------------------------------------------------------ execution
+class _Spark:
+    """``plan.exec_code``'s engine over a Spark session."""
+
+    error = BackendError
+
+    def __init__(self, spark: SparkSession):
+        self.spark = spark
+
+    def empty(self, t: A.TArray) -> DataFrame:
+        return empty_array(self.spark, t)
+
+    def array(self, st, t: A.TArray, env: dict) -> DataFrame:
+        qb = _Query(self.spark)
+        sql = _bag_sql(st.term, env, qb, t.ndims, _col_types(t) if st.fresh else None)
+        if sql is None or isinstance(sql, DataFrame):
+            return sql
+        return qb.run(sql, show(st.term))
+
+    def scalar(self, comp: Comp, env: dict) -> list:
+        qb = _Query(self.spark)
+        res = _relation(comp, env, qb)
+        if res is None:
+            return []
+        fr, head = res
+        if fr is None:
+            return [head]
+        sql = f"SELECT {to_sql(head, env)} AS `_v` FROM {fr.src}"
+        # not limit(2): it scans partitions incrementally and launches
+        # a second job whenever the first partition holds no row
+        return [py_value(r["_v"]) for r in qb.run(sql, show(comp)).collect()]
+
+    def group(self, gp, stmts, env: dict, types: dict) -> dict:
+        return (_group_scalars(gp, stmts, env, self.spark) if gp.total else
+                _group_arrays(gp, stmts, env, self.spark, types))
+
+    def boundary(self, env: dict, carried: list) -> None:
+        """Truncate the lineage of the arrays that carry state into the
+        next iteration, upstream ones first so no checkpoint recomputes
+        another's plan."""
+        for s in carried:
+            if isinstance(env.get(s), DataFrame):
+                env[s] = env[s].localCheckpoint(eager=True)
+
+
 def run_code(code, env: dict, spark: SparkSession, types: dict) -> dict:
     """Execute target code, updating and returning the environment."""
-    for st in code:
-        if isinstance(st, TInit):
-            env[st.name] = empty_array(spark, st.type)
-        elif isinstance(st, TAssign):
-            t = types.get(st.name)
-            if isinstance(t, A.TArray):
-                env[st.name] = eval_bag_to_array(st.term, env, spark, t.ndims)
-            else:
-                present, v = eval_scalar(st.term, env, spark)
-                if present:
-                    env[st.name] = v
-        elif isinstance(st, TGroup):
-            run_group(st, env, spark, types)
-        elif isinstance(st, TWhile):
-            carried = _carried_arrays(st.body, types)
-            cond_reads = bool(set(state_refs(st.cond)) & set(carried))
-            dirty = False  # carried arrays hold an unchecked iteration
-            while True:
-                if dirty and cond_reads:
-                    _checkpoint(env, carried)
-                    dirty = False
-                present, c = eval_scalar(st.cond, env, spark)
-                if not present or not c:
-                    break
-                if dirty:
-                    _checkpoint(env, carried)
-                run_code(st.body, env, spark, types)
-                dirty = True
-        else:
-            raise BackendError(f"unknown target statement {st!r}")
-    return env
-
-
-def _checkpoint(env: dict, carried: list) -> None:
-    """Truncate the lineage of the arrays that carry state into the next
-    iteration, upstream ones first so no checkpoint recomputes another's
-    plan."""
-    for s in carried:
-        if isinstance(env.get(s), DataFrame):
-            env[s] = env[s].localCheckpoint(eager=True)
-
-
-def _carried_arrays(body, types) -> list:
-    """Arrays a loop body assigns that hold state across iterations, in
-    order of first mention. An array whose first mention in the body is
-    its re-initialisation (``TInit``) starts afresh in every iteration,
-    and its lineage starts at the carried arrays: it needs no
-    checkpoint."""
-    first: dict = {}  # name -> True if a TInit mentions it first
-    assigned = set()
-
-    def walk(code):
-        for st in code:
-            if isinstance(st, TWhile):
-                for n in state_refs(st.cond):
-                    first.setdefault(n, False)
-                walk(st.body)
-                continue
-            if isinstance(st, TGroup):
-                # every member reads before any writes
-                for s in st.stmts:
-                    for n in state_refs(s.term):
-                        first.setdefault(n, False)
-                walk(st.stmts)
-                continue
-            if isinstance(st, TAssign):
-                for n in state_refs(st.term):
-                    first.setdefault(n, False)
-            first.setdefault(st.name, isinstance(st, TInit))
-            assigned.add(st.name)
-
-    walk(body)
-    return [
-        n for n, init in first.items()
-        if not init and n in assigned and isinstance(types.get(n), A.TArray)
-    ]
+    return exec_code(code, env, _Spark(spark), types)

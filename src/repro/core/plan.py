@@ -27,6 +27,7 @@ too.
 ``plan_group`` lowers sibling comprehensions that start with the same
 scan and joins to those shared steps plus each one's own; ``fuse_code``
 groups the target-code assignments it can serve into a ``TGroup``.
+``exec_code`` runs target code (Section 3.8) on either engine.
 """
 from __future__ import annotations
 
@@ -62,8 +63,9 @@ from .comprehension import (
     subst,
     unagg,
 )
+from . import ast as A
 from .monoids import BIN, CALLS
-from .translate import TAssign, TGroup, TWhile
+from .translate import TAssign, TGroup, TInit, TWhile, carried_arrays
 
 
 class PlanError(Exception):
@@ -488,3 +490,65 @@ def run_driver(p: Plan, env: dict, lookup) -> Optional[dict]:
             key = tuple(compile_term(k, env)(b) for k in st.key)
             b[st.var] = lookup(st.array, key, st.default)
     return b
+
+
+# ------------------------------------------------------ statement execution
+def _scalar(engine, term, env: dict) -> list:
+    """The elements of a scalar's new bag or a loop's test: none leaves
+    the scalar as it is and ends the loop, more than one is an error. A
+    term without generators is not a comprehension: no engine needed."""
+    vs = engine.scalar(term, env) if isinstance(term, Comp) else [compile_term(term, env)({})]
+    if len(vs) > 1:
+        raise engine.error(f"scalar assignment from a bag with more than one element: {show(term)}")
+    return vs
+
+
+def exec_code(code, env: dict, engine, types: dict) -> dict:
+    """Execute target code on ``engine``, updating and returning the
+    environment. The engine gives:
+
+    * ``empty(t)``: a new empty array of type ``t``;
+    * ``array(st, t, env)``: the new value of the array ``st`` assigns;
+    * ``scalar(comp, env)``: the elements of a comprehension;
+    * ``group(gp, stmts, env, types)``: the new values of a ``TGroup``'s
+      destinations, from its ``GroupPlan``; each member reads the state
+      from before the group;
+    * ``boundary(env, carried)``: between iterations of a ``while``
+      loop, before each one that reads the arrays ``carried`` across
+      them, so not after the last: after the test passes, or before a
+      test that reads one;
+    * ``error``: the exception class of its errors.
+    """
+    for st in code:
+        if isinstance(st, TInit):
+            env[st.name] = engine.empty(st.type)
+        elif isinstance(st, TAssign):
+            t = types.get(st.name)
+            if isinstance(t, A.TArray):
+                env[st.name] = engine.array(st, t, env)
+            else:
+                vs = _scalar(engine, st.term, env)
+                if vs:
+                    env[st.name] = vs[0]
+        elif isinstance(st, TGroup):
+            gp = plan_group([member_comp(s) for s in st.stmts])
+            if gp is None:
+                raise engine.error("a group of statements that share no scan")
+            env.update(engine.group(gp, st.stmts, env, types))
+        elif isinstance(st, TWhile):
+            carried = carried_arrays(st.body, types)
+            test_reads = bool(set(state_refs(st.cond)) & set(carried))
+            ran = False  # an iteration ran since the last boundary
+            while True:
+                if ran and test_reads:
+                    engine.boundary(env, carried)
+                test = _scalar(engine, st.cond, env)
+                if not (test and test[0]):
+                    break
+                if ran and not test_reads:
+                    engine.boundary(env, carried)
+                exec_code(st.body, env, engine, types)
+                ran = True
+        else:
+            raise engine.error(f"unknown target statement {st!r}")
+    return env

@@ -7,14 +7,13 @@ lowered by the same ``plan.plan``, is evaluated with plain Python
 collections — arrays are dicts, rows are dicts of bound variables, joins
 are hash joins on their equalities, group-bys are dict folds. The
 literal loop interpreter (``interp.py``) stays the ground truth; this
-backend is the sequential *bulk* evaluation.
+backend is the sequential *bulk* evaluation, run by ``plan.exec_code``.
 """
 from __future__ import annotations
 
 from functools import reduce
 
-from . import ast as A
-from .comprehension import Comp, Merge, StateRef, show
+from .comprehension import Comp, Merge, StateRef
 from .monoids import BIN
 from .plan import (
     Filter,
@@ -26,12 +25,10 @@ from .plan import (
     Total,
     bind,
     compile_term,
-    member_comp,
+    exec_code,
     plan,
-    plan_group,
     run_driver,
 )
-from .translate import TAssign, TGroup, TInit, TWhile
 
 
 class SeqError(Exception):
@@ -60,10 +57,11 @@ def _source(src, env, b) -> list:
 
 def _folds(aggs, env) -> list:
     """``(name, fold)`` of each ``(name, monoid, expr)`` reduction, where
-    ``fold(rows)`` folds ``expr`` over the rows from the first one and is
-    None over no rows, as SQL's aggregates are."""
+    ``fold(rows)`` folds ``expr`` over some rows from the first one, as
+    SQL's aggregates do. There is always a row: a group has one, and a
+    ``Total`` over no rows gives no row."""
     def fold(op, f):
-        return lambda rows: reduce(op, map(f, rows)) if rows else None
+        return lambda rows: reduce(op, map(f, rows))
 
     return [(n, fold(BIN[m], compile_term(e, env))) for n, m, e in aggs]
 
@@ -86,24 +84,16 @@ def _run_steps(rows: list, steps: tuple, env: dict, b: dict) -> list:
     bindings."""
     for st in steps:
         if isinstance(st, Join):
-            new = _source(st.source, env, b)
+            # hash join on the equalities (with none, every pair), the
+            # rest filter the pairs
+            okeys = [compile_term(k, env) for k, _ in st.keys]
+            nkeys = [compile_term(k, env) for _, k in st.keys]
+            index: dict = {}
+            for m in _source(st.source, env, b):
+                index.setdefault(tuple(f(m) for f in nkeys), []).append(m)
             fs = [compile_term(c, env) for c in st.residual]
-            if st.keys:
-                # hash join on the equalities, the rest filter the pairs
-                okeys = [compile_term(k, env) for k, _ in st.keys]
-                nkeys = [compile_term(k, env) for _, k in st.keys]
-                index: dict = {}
-                for m in new:
-                    index.setdefault(tuple(f(m) for f in nkeys), []).append(m)
-                pairs = ((r, m) for r in rows for m in index.get(tuple(f(r) for f in okeys), ()))
-            else:
-                pairs = ((r, m) for r in rows for m in new)
-            out = []
-            for r, m in pairs:
-                rm = {**r, **m}
-                if all(f(rm) for f in fs):
-                    out.append(rm)
-            rows = out
+            pairs = ({**r, **m} for r in rows for m in index.get(tuple(f(r) for f in okeys), ()))
+            rows = [rm for rm in pairs if all(f(rm) for f in fs)]
         elif isinstance(st, Filter):
             for c in st.conds:
                 f = compile_term(c, env)
@@ -157,72 +147,45 @@ def _rows_to_dict(rows: list, head, env: dict, ndims: int) -> dict:
     return {tuple(f(r) for f in fs[:-1]): fs[-1](r) for r in rows}
 
 
-def _eval_scalar(term, env):
-    """Evaluate a bag term expected to hold ≤1 scalar element. Returns
-    (present, value); an empty bag leaves the destination unchanged."""
-    if not isinstance(term, Comp):
-        return True, compile_term(term, env)({})
-    res = eval_comp(term, env)
-    return (False, None) if res is None else _row_value(*res, env, term)
+class _Seq:
+    """``plan.exec_code``'s engine over dict arrays and Python
+    scalars."""
 
+    error = SeqError
 
-def _row_value(rows: list, head, env: dict, term):
-    """(present, value) of a scalar's head over at most one row."""
-    if not rows:
-        return False, None
-    if len(rows) > 1:
-        raise SeqError(
-            f"scalar assignment from a bag with more than one element: {show(term)}"
-        )
-    return True, compile_term(head, env)(rows[0])
+    def empty(self, t) -> dict:
+        return {}
 
+    def array(self, st, t, env: dict) -> dict:
+        return _bag_to_dict(st.term, env, t.ndims)
 
-def run_group_seq(st: TGroup, env: dict, types: dict) -> None:
-    """Run a group of sibling assignments (``plan.fuse_code``): the
-    shared steps once, then each member's own steps over their rows,
-    each member reading the state from before the group."""
-    gp = plan_group([member_comp(s) for s in st.stmts])
-    if gp is None:
-        raise SeqError("a group of statements that share no scan")
-    rows = _run_steps(_source(gp.shared[0], env, {}), gp.shared[1:], env, {})
-    new = {}
-    for s, m in zip(st.stmts, gp.members):
-        # a member's steps start with a filter or a reduction, which
-        # build new rows: the shared ones are not changed
-        own = _run_steps(rows, m.steps, env, {})
-        if isinstance(s.term, Comp):
-            present, v = _row_value(own, m.head, env, s.term)
-            if present:
-                new[s.name] = v
-        else:
-            new[s.name] = {**env[s.name], **_rows_to_dict(own, m.head, env, types[s.name].ndims)}
-    env.update(new)
+    def scalar(self, comp: Comp, env: dict) -> list:
+        res = eval_comp(comp, env)
+        return [] if res is None else list(map(compile_term(res[1], env), res[0]))
+
+    def group(self, gp, stmts, env: dict, types: dict) -> dict:
+        """The shared steps once, then each member's own steps over
+        their rows."""
+        rows = _run_steps(_source(gp.shared[0], env, {}), gp.shared[1:], env, {})
+        new = {}
+        for s, m in zip(stmts, gp.members):
+            # a member's steps start with a filter or a reduction, which
+            # build new rows: the shared ones are not changed
+            own = _run_steps(rows, m.steps, env, {})
+            if isinstance(s.term, Comp):
+                if own:  # a Total's one row, or none
+                    new[s.name] = compile_term(m.head, env)(own[0])
+            else:
+                new[s.name] = {**env[s.name], **_rows_to_dict(own, m.head, env, types[s.name].ndims)}
+        return new
+
+    def boundary(self, env: dict, carried: list) -> None:
+        pass
 
 
 def run_code_seq(code, env: dict, types: dict) -> dict:
     """Execute target code over dict arrays / Python scalars."""
-    for st in code:
-        if isinstance(st, TInit):
-            env[st.name] = {}
-        elif isinstance(st, TAssign):
-            t = types.get(st.name)
-            if isinstance(t, A.TArray):
-                env[st.name] = _bag_to_dict(st.term, env, t.ndims)
-            else:
-                present, v = _eval_scalar(st.term, env)
-                if present:
-                    env[st.name] = v
-        elif isinstance(st, TGroup):
-            run_group_seq(st, env, types)
-        elif isinstance(st, TWhile):
-            while True:
-                present, c = _eval_scalar(st.cond, env)
-                if not present or not c:
-                    break
-                run_code_seq(st.body, env, types)
-        else:
-            raise SeqError(f"unknown target statement {st!r}")
-    return env
+    return exec_code(code, env, _Seq(), types)
 
 
 def run_program_seq(compiled, env: dict) -> dict:

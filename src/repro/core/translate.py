@@ -28,7 +28,7 @@ addition.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from . import ast as A
 from .comprehension import (
     Agg,
@@ -51,6 +51,7 @@ from .comprehension import (
     UnOp,
     Var,
     fresh,
+    state_refs,
 )
 from .monoids import identity
 
@@ -66,10 +67,13 @@ class TInit:
 
 @dataclass
 class TAssign:
-    """``V := e`` where ``e`` is a bag-valued comprehension term."""
+    """``V := e`` where ``e`` is a bag-valued comprehension term;
+    ``fresh`` if ``V``'s ``TInit`` comes before it in its block with no
+    other assignment to ``V`` in between, so ``V`` is empty here."""
 
     name: str
     term: object
+    fresh: bool = False
 
 
 @dataclass
@@ -101,7 +105,7 @@ def map_code(code: list, f) -> list:
     out = []
     for st in code:
         if isinstance(st, TAssign):
-            out.append(TAssign(st.name, f(st.term)))
+            out.append(replace(st, term=f(st.term)))
         elif isinstance(st, TWhile):
             out.append(TWhile(f(st.cond), map_code(st.body, f)))
         elif isinstance(st, TGroup):
@@ -111,6 +115,55 @@ def map_code(code: list, f) -> list:
         else:
             raise TypeError(f"unknown target statement {st!r}")
     return out
+
+
+def statements(code: list):
+    """Every statement of a block, nested blocks included, each loop or
+    group before its own."""
+    for st in code:
+        yield st
+        yield from statements(st.body if isinstance(st, TWhile) else getattr(st, "stmts", ()))
+
+
+def _assigned(code: list) -> set:
+    return {st.name for st in statements(code) if isinstance(st, (TInit, TAssign))}
+
+
+def mark_fresh(code: list) -> list:
+    """``code`` with each assignment's ``fresh`` set (see ``TAssign``);
+    an array initialised before a loop is not fresh inside it."""
+    out, inits = [], set()
+    for st in code:
+        if isinstance(st, TAssign):
+            st = replace(st, fresh=st.name in inits)
+        elif isinstance(st, TWhile):
+            st = TWhile(st.cond, mark_fresh(st.body))
+        inits -= _assigned([st])
+        if isinstance(st, TInit):
+            inits.add(st.name)
+        out.append(st)
+    return out
+
+
+def carried_arrays(body: list, types: dict) -> list:
+    """Arrays a loop body assigns that hold state across iterations, in
+    order of first mention. An array whose first mention in the body is
+    its re-initialisation (``TInit``) starts afresh in every iteration,
+    and its lineage starts at the carried arrays: it needs no
+    checkpoint."""
+    first: dict = {}  # name -> True if a TInit mentions it first
+    for st in statements(body):
+        # a loop's test reads first; a group's members all read before any writes
+        reads = ([st.cond] if isinstance(st, TWhile) else
+                 [s.term for s in st.stmts] if isinstance(st, TGroup) else
+                 [st.term] if isinstance(st, TAssign) else [])
+        for n in (n for t in reads for n in state_refs(t)):
+            first.setdefault(n, False)
+        if isinstance(st, (TInit, TAssign)):
+            first.setdefault(st.name, isinstance(st, TInit))
+    assigned = _assigned(body)
+    return [n for n, init in first.items()
+            if not init and n in assigned and isinstance(types.get(n), A.TArray)]
 
 
 class Translator:
@@ -307,8 +360,9 @@ class Translator:
 
 def translate_program(program: A.SBlock, extern_types: dict | None = None):
     """Translate a whole program. Returns ``(target_code, types)`` where
-    target_code is a list of TInit/TAssign/TWhile and types maps the
-    extern and declared names to their source types (a declaration wins)."""
+    target_code is a list of TInit/TAssign/TWhile, each assignment's
+    freshness marked (``mark_fresh``), and types maps the extern and
+    declared names to their source types (a declaration wins)."""
     tr = Translator(extern_types)
     code = tr.S(program, (), frozenset())
-    return code, tr.types
+    return mark_fresh(code), tr.types

@@ -275,11 +275,10 @@ def test_scalar_assignment_from_many_rows_fails(spark):
 @pytest.mark.parametrize("name,carried", [("KMeans", ["C"]), ("PageRank", ["P"])])
 def test_only_loop_carried_arrays_are_checkpointed(name, carried):
     # closest/avg and Q are re-initialised at the top of every iteration
-    from repro.core.backend import _carried_arrays
-    from repro.core.translate import TWhile
+    from repro.core.translate import TWhile, carried_arrays
     from repro.programs.suite import BY_NAME, build_envs
 
     _, _, types = build_envs(BY_NAME[name], "tiny")
     comp = compile_program(BY_NAME[name].source, types)
     loop = next(st for st in comp.code if isinstance(st, TWhile))
-    assert _carried_arrays(loop.body, comp.types) == carried
+    assert carried_arrays(loop.body, comp.types) == carried

@@ -151,6 +151,17 @@ def test_fresh_long_array_max_stays_long(spark):
         assert _same(env["M"], {0: 8, 1: 3})
 
 
+@pytest.mark.parametrize("body,want", [
+    ("C[n] += 1;", {0: 1, 1: 1, 2: 1}),
+    ("for i = 0, n do C[i] += 1;", {0: 3, 1: 2, 2: 1}),
+], ids=["index", "for"])
+def test_array_initialised_before_a_loop_is_not_fresh_in_it(spark, body, want):
+    # a merge taken for a fresh one would drop the earlier iterations' keys
+    src = f"var C: vector[long] = vector(); var n: long = 0; while (n < 3) {{ {body} n += 1; }};"
+    for env in three_engines(spark, src, {}, {}):
+        assert _same(env["C"], want)
+
+
 # --------------------------------------------------- plan shapes
 @pytest.fixture(scope="module")
 def tiny_runs(spark):

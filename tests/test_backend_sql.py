@@ -24,8 +24,8 @@ from repro.core.convert import df_to_dict, dict_to_df
 from repro.core.interp import interpret
 from repro.core.pipeline import compile_program, run_program
 from repro.core.seq_backend import run_program_seq
-from repro.core.translate import TAssign, TWhile
-from repro.programs.suite import BY_NAME, build_envs
+from repro.core.translate import TAssign, TWhile, statements
+from repro.programs.suite import BY_NAME, PROGRAMS, build_envs
 
 VEC_D = A.TArray(1, A.TBasic("double"))
 VEC_L = A.TArray(1, A.TBasic("long"))
@@ -211,6 +211,28 @@ def test_each_array_statement_is_one_query(spark, sql_calls, name):
         ):
             assert n == 0, (st.name, n)  # e.g. KMeans's steps += 1
     assert seen >= 2
+
+
+def _fresh_merges(prog) -> bool:
+    types = build_envs(prog, "tiny")[2]
+    return any(getattr(st, "fresh", False)
+               for st in statements(compile_program(prog.source, types).code))
+
+
+@pytest.mark.parametrize("name", [p.name for p in PROGRAMS if _fresh_merges(p)])
+def test_statement_by_statement_run_issues_the_same_queries(spark, sql_calls, name):
+    # a traced run executes one top-level statement at a time: a merge's
+    # freshness must travel with the statement, not with the run
+    prog = BY_NAME[name]
+    spark_env, _, types = build_envs(prog, "tiny", spark)
+    comp = compile_program(prog.source, types)
+    run_program(comp, spark_env, spark)
+    whole = list(sql_calls)
+    sql_calls.clear()
+    env = dict(spark_env)
+    for st in comp.code:
+        env = run_code([st], env, spark, comp.types)
+    assert whole and sql_calls == whole
 
 
 def test_generator_free_scalar_statement_issues_no_query(spark, sql_calls):

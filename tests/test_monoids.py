@@ -53,13 +53,16 @@ def test_reduction_agrees_on_spark_and_seq(spark, elem, bag, monoids):
     items = ", ".join(f"{_agg_sql(m, '`x`')} AS `r{i}`" for i, m in enumerate(monoids))
     row = spark.sql(f"SELECT {items} FROM `_monoid_bag`").collect()[0]
     spark.catalog.dropTempView("_monoid_bag")
+    if not bag:
+        # SQL's aggregates give NULL over no rows; the sequential engine
+        # never folds none (a group has rows, a total over none no row)
+        assert all(row[f"r{i}"] is None for i in range(len(monoids)))
+        return
     folds = _folds(tuple((f"r{i}", m, Var("x")) for i, m in enumerate(monoids)), {})
     rows = [{"x": x} for x in bag]
     for (n, fold), m in zip(folds, monoids):
         got, want = py_value(row[n]), fold(rows)
         assert _same(got, want), f"{m}/{bag}: spark {got!r}, seq {want!r}"
-        if not bag:
-            assert want is None  # NULL over no rows, as SQL aggregates
 
 
 BIG = 2**53 + 1  # no double holds it, nor BIG + 2

@@ -18,7 +18,9 @@ from repro.core.comprehension import (
 from repro.core.normalize import normalize_code
 from repro.core.optimize import optimize_code
 from repro.core.parser import parse
-from repro.core.translate import TAssign, TInit, TWhile, translate_program
+from repro.core.pipeline import compile_program
+from repro.core.translate import TAssign, TInit, TWhile, statements, translate_program
+from repro.programs.suite import BY_NAME, build_envs
 
 
 def tr(src):
@@ -142,3 +144,18 @@ def test_nested_duplicate_index_raises():
 
     with pytest.raises(TranslationError):
         translate_program(parse("for i = 0, 9 do for i = 0, 9 do V[i] := 0;"))
+
+
+@pytest.mark.parametrize("name,want", [
+    # the fill R[i, j] := 0.0, then the update R[i, j] += …
+    ("Matrix Multiplication", [("R", True), ("R", False)]),
+    # closest and avg are re-initialised at the top of each iteration
+    ("KMeans", [("closest", True), ("avg", True), ("C", False)]),
+])
+def test_fresh_merges_are_marked_at_compile_time(name, want):
+    _, _, types = build_envs(BY_NAME[name], "tiny")
+    comp = compile_program(BY_NAME[name].source, types)
+    merges = [(st.name, st.fresh) for st in statements(comp.code)
+              if isinstance(st, TAssign) and isinstance(comp.types[st.name], A.TArray)]
+    assert merges == want
+    assert "fresh=True" in repr(comp.code)
