@@ -9,7 +9,10 @@ off, and for KMeans and PageRank at ``num_steps=4``, it prints:
 * the number of Spark jobs the run and the collection of its outputs
   launched;
 * the number of ``localCheckpoint`` calls;
-* a digest of the outputs (arrays as sorted dicts, then ``repr``).
+* a digest of the outputs (arrays as sorted dicts, then ``repr``);
+* the exchange and join nodes in each output array's executed plan, so
+  that a change that must alter the SQL text can show that the physical
+  shape stayed the same.
 
 Spark runs on ``local[2]`` (unless ``PYSPARK_SUBMIT_ARGS`` names another
 master; the first line of the output shows it) with 8 shuffle partitions
@@ -20,6 +23,7 @@ once per version, and diff the two files.
 """
 import hashlib
 import os
+import re
 import sys
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -56,9 +60,21 @@ def digest(outs: dict, types: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+_NODE = re.compile(r"[\s:|+\-]*(?:\*\(\d+\)\s*)?([A-Za-z]+)")
+
+
+def plan_shape(df) -> str:
+    """``exchanges E joins J`` of a DataFrame's executed plan."""
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    nodes = [m.group(1) for ln in plan.splitlines() if (m := _NODE.match(ln))]
+    ex = sum(n.endswith("Exchange") and n != "ReusedExchange" for n in nodes)
+    joins = sum(n.endswith("Join") or n == "CartesianProduct" for n in nodes)
+    return f"exchanges {ex} joins {joins}"
+
+
 def run(spark, prog, fuse: bool, steps=None):
-    """The SQL texts, job count, checkpoint count and output digest of
-    one run of ``prog``."""
+    """The SQL texts, job count, checkpoint count, output digest and
+    output plan shapes of one run of ``prog``."""
     spark_env, _, types = build_envs(prog, "tiny", spark)
     if steps is not None:
         spark_env["num_steps"] = steps
@@ -86,7 +102,8 @@ def run(spark, prog, fuse: bool, steps=None):
     out = digest({k: env[k] for k in prog.outputs}, comp.types)
     sc._jsc.sc().listenerBus().waitUntilEmpty()  # the status store has every job
     jobs = len(sc.statusTracker().getJobIdsForGroup(group))
-    return sqls, jobs, checkpoints[0], out
+    shapes = {k: plan_shape(env[k]) for k in prog.outputs if isinstance(comp.types.get(k), A.TArray)}
+    return sqls, jobs, checkpoints[0], out, shapes
 
 
 def main():
@@ -95,11 +112,13 @@ def main():
     runs = [(p, fuse, None) for p in PROGRAMS for fuse in (True, False)]
     runs += [(BY_NAME[n], True, s) for n, s in LOOPS.items()]
     for prog, fuse, steps in runs:
-        sqls, jobs, checkpoints, out = run(spark, prog, fuse, steps)
+        sqls, jobs, checkpoints, out, shapes = run(spark, prog, fuse, steps)
         print(f"== {prog.name} fuse={fuse}" + (f" num_steps={steps}" if steps else ""))
         for i, text in enumerate(sqls):
             print(f"-- sql {i}: {text}")
         print(f"jobs {jobs}  checkpoints {checkpoints}  sql {len(sqls)}  outputs {out}")
+        for k, shape in shapes.items():
+            print(f"plan {k}: {shape}")
     spark.stop()
 
 

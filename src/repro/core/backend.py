@@ -22,12 +22,16 @@ implemented as a coGroup"). The steps before the first generator run on
 the driver with the sequential engine's evaluator. Scalar state enters
 the query as literals typed as ``F.lit`` would type them.
 
-An incremental update (rule 15a: ``X ⊲ {(k, w ⊕ ⊕/v) | …, group by k,
-w <~ X[k] ?? id}``) is that one join: the lookup of the pre-update
-value ``w`` reads the old side of the merge's join instead of joining
-``X`` a second time. A merge into a just-initialised array (a
-``fresh`` assignment, ``translate.mark_fresh``) is the new bag alone,
-with no join; every lookup into it misses.
+Every array assignment is a merge ``X ⊲ comp`` (rules 14c and 15a),
+and ``_merge_sql`` is its one lowering: the rows of ``comp``, then
+``X FULL OUTER JOIN`` them on the key, with the rows' value where a row
+is present. An incremental update (rule 15a: ``X ⊲ {(k, w ⊕ ⊕/v) | …,
+group by k, w <~ X[k] ?? id}``) is the merge whose plan ends in the
+lookup of ``X`` at the head's key: that lookup of the pre-update value
+``w`` reads the old side of the same join instead of joining ``X`` a
+second time. A merge into a just-initialised array (a ``fresh``
+assignment, ``translate.mark_fresh``) is the new bag alone, with no
+join; every lookup into it misses.
 
 The plan applies conditions as soon as all their variables are bound,
 which lets the Section 3.6 ``inRange`` predicates land on the array
@@ -51,10 +55,7 @@ from .comprehension import (
     Call,
     Comp,
     Const,
-    Generator,
     InRange,
-    Merge,
-    OuterLookup,
     Proj,
     StateRef,
     TupleT,
@@ -368,17 +369,18 @@ def _agg_items(aggs: tuple, env: dict) -> list:
 
 
 def _relation(comp: Comp, env: dict, qb: _Query):
-    """Lower a comprehension (see ``plan``) to ``(frontier, head)``,
-    a relation with a row per bag element whose columns are the
-    variables the head needs; ``(None, value)`` when it has no
-    generators; None for an empty bag. The caller shapes the head."""
+    """Plan a comprehension (see ``plan``) and run its driver steps:
+    ``(frontier, steps, head, b)``, the relation of the plan's source,
+    the steps after it, the head and the driver's bindings; the
+    frontier is None when it has no generators. None for an empty
+    bag."""
     p = plan(comp)
     b = run_driver(p, env, lambda a, k, d: _lookup(qb.spark, env, a, k, d))
     if b is None:
         return None
     if not p.steps:
-        return None, compile_term(p.head, env)(b)
-    return _lower(p.steps, env, qb, b), p.head
+        return None, (), p.head, b
+    return _lower(p.steps[:1], env, qb, b), p.steps[1:], p.head, b
 
 
 def _lower(steps: tuple, env: dict, qb: _Query, b: dict) -> _Frontier:
@@ -419,11 +421,11 @@ def _apply(fr: _Frontier, steps: tuple, env: dict, qb: _Query, b: dict) -> None:
             fr.cols = [n for n, _, _ in st.aggs]
         else:
             # rule 15a's lookup of the pre-update value is lowered with
-            # its merge, by _update_sql
+            # its merge, by _merge_sql
             raise BackendError(f"outer lookup outside an array update: {st.var}")
 
 
-# --------------------------------------------------------- bag results
+# -------------------------------------------------------------- merge
 def _key_cols(ndims: int, prefix: str = "_k", value: str = "_v") -> list:
     return [f"{prefix}{j + 1}" for j in range(ndims)] + [value]
 
@@ -435,64 +437,53 @@ def _array(env: dict, name: str) -> DataFrame:
     return df
 
 
-def _bag_sql(term, env, qb: _Query, ndims: int, fresh=None):
-    """A bag term's ``(_k1.._kn, _v)`` rows: the SELECT text that
-    computes them, the array DataFrame itself when they are one that
-    exists, or None for a generator-free comprehension whose condition
-    is false (the empty bag). ``fresh`` holds the column types of a
-    merge target that is fresh, else None."""
-    if isinstance(term, StateRef):
-        return _array(env, term.name)
-    if isinstance(term, Merge):
-        if not isinstance(term.old, StateRef):
-            raise BackendError("merge target must be a state array")
-        old = _array(env, term.old.name)
-        if _is_update(term, ndims):
-            new = _update_sql(old, term.new, env, qb, ndims, fresh)
-        else:
-            new = _bag_sql(term.new, env, qb, ndims)
-            if new is not None:
-                new = _merge_sql(qb, old, new, ndims, fresh)
-        return old if new is None else new  # empty bag: V ⊲ ∅ = V
-    if not isinstance(term, Comp):
-        raise BackendError(f"cannot evaluate bag term {show(term)}")
-    res = _relation(term, env, qb)
-    if res is None:
-        return None
-    fr, head = res
-    if fr is None:
-        # generator-free comprehension: a singleton key/value row
-        if not isinstance(head, tuple) or len(head) != ndims + 1:
-            raise BackendError("array assignment produced a scalar")
-        items = [f"{_lit(x)} AS {_id(c)}" for x, c in zip(head, _key_cols(ndims))]
-        return f"SELECT {', '.join(items)} FROM range(1)"
-    if not isinstance(head, TupleT) or len(head.items) != ndims + 1:
-        raise BackendError(
-            f"array head arity mismatch: {show(head)} for {ndims} dims"
-        )
-    items = [
-        f"{to_sql(x, env)} AS {_id(c)}"
-        for x, c in zip(head.items, _key_cols(ndims))
-    ]
-    return f"SELECT {', '.join(items)} FROM {fr.src}"
-
-
-def _merge_sql(qb: _Query, old: DataFrame, new, ndims: int, fresh) -> str:
-    """``old ⊲ new`` for an array ``old`` and the rows ``new`` (an array
-    or the SELECT text of a bag): union preferring ``new`` on key
-    collisions. Into a fresh ``old`` this is ``new`` alone."""
-    ncols = _key_cols(ndims, "_n", "_nv")
-    if isinstance(new, DataFrame):
-        new = qb.scan(new, ncols)
+def _merge_sql(name: str, t: A.TArray, fresh: bool, fr: _Frontier, steps: tuple, head,
+               env: dict, qb: _Query, b: dict) -> str:
+    """``X ⊲ rows`` for the array ``X`` named ``name``, of type ``t``:
+    the rows are the relation ``fr`` extended by the plan ``steps``,
+    shaped by ``head`` (keys, then the value). It is ``X FULL OUTER JOIN
+    rows`` on the key, with the rows' value where a row is present, else
+    ``X._v``. If the steps end in rule 15a's lookup ``w <~ X[k] ?? d``
+    at the head's key ``k`` (an update), the lookup is no step of its
+    own: ``w`` is ``coalesce(X._v, d)`` on the join's old side. Into a
+    ``fresh`` (empty) ``X`` it is the rows alone, and ``w`` is ``d``."""
+    look = steps[-1] if steps else None
+    if isinstance(look, Lookup) and look.array == name and look.key == head.items[:-1]:
+        steps = steps[:-1]
     else:
-        new = f"({new}) AS {qb.alias()}({', '.join(map(_id, ncols))})"
+        look = None
+    _apply(fr, steps, env, qb, b)
+    default = _lit(look.default) if look else ""
     if fresh:
-        return _fresh_sql(fresh, list(map(_id, ncols)), new)
-    pairs = list(zip(_key_cols(ndims), ncols))
-    items = [f"coalesce({_id(n)}, {_id(k)}) AS {_id(k)}" for k, n in pairs]
-    on = " AND ".join(f"({_id(k)} = {_id(n)})" for k, n in pairs[:-1])
-    old = qb.scan(old, _key_cols(ndims))
-    return f"SELECT {', '.join(items)} FROM {old} FULL OUTER JOIN {new} ON {on}"
+        types = _col_types(t)
+        if look:
+            fr.select(qb, fr.with_cols({look.var: f"coalesce(CAST(NULL AS {types[-1]}), {default})"}))
+        return _fresh_sql(types, [to_sql(x, env) for x in head.items], fr.src)
+    tag = look.var if look else ""
+    ocols = _key_cols(t.ndims, f"_lk_{tag}_", f"_lv_{tag}")
+    scan = qb.scan(_array(env, name), ocols)
+    ocols = list(map(_id, ocols))
+    hit = _id(f"_hit_{tag}")
+    # a key that is no column of the rows (a constant or an expression)
+    # becomes one, so that the join is an equi-join and the key is NULL
+    # where no row is
+    keys = {f"_n{j}": to_sql(k, env) for j, k in enumerate(head.items[:-1])
+            if not (isinstance(k, Var) and k.name in fr.cols)}
+    fr.select(qb, fr.with_cols(keys) + [f"true AS {hit}"])
+    exprs = [_id(f"_n{j}") if f"_n{j}" in keys else to_sql(k, env)
+             for j, k in enumerate(head.items[:-1])] + [to_sql(head.items[-1], env)]
+    on = " AND ".join(f"({e} = {c})" for e, c in zip(exprs[:-1], ocols))
+    fr.select(qb, [_id(c) for c in fr.cols] + [hit, *ocols] + (
+        [f"coalesce({ocols[-1]}, {default}) AS {_id(look.var)}"] if look else []
+    ), f" FULL OUTER JOIN {scan} ON {on}")
+    # the value only where a row is: over no row, a tuple of its columns
+    # would be a struct of NULLs, not NULL
+    items = [f"coalesce({e}, {c})" for e, c in zip(exprs, ocols[:-1])] + [
+        f"coalesce(CASE WHEN {hit} THEN {exprs[-1]} END, {ocols[-1]})"
+    ]
+    return "SELECT " + ", ".join(
+        f"{e} AS {_id(c)}" for e, c in zip(items, _key_cols(t.ndims))
+    ) + f" FROM {fr.src}"
 
 
 def _fresh_sql(types: list, exprs: list, src: str) -> str:
@@ -505,64 +496,6 @@ def _fresh_sql(types: list, exprs: list, src: str) -> str:
         for e, ty, c in zip(exprs, types, _key_cols(len(types) - 1))
     ]
     return f"SELECT {', '.join(items)} FROM {src}"
-
-
-def _is_update(term: Merge, ndims: int) -> bool:
-    """Whether ``term`` is rule 15a's update of its target array ``X``:
-    ``X ⊲ {(k, f(w, …)) | …, w <~ X[k] ?? d}`` with a generator, whose
-    last qualifier looks up the pre-update value by the head's key."""
-    c = term.new
-    if not (isinstance(c, Comp) and c.quals and isinstance(c.head, TupleT)):
-        return False
-    look = c.quals[-1]
-    if not (isinstance(look, OuterLookup) and look.array == term.old.name):
-        return False
-    key = list(look.key.items) if isinstance(look.key, TupleT) else [look.key]
-    return (
-        len(c.head.items) == ndims + 1
-        and list(c.head.items[:ndims]) == key
-        and any(isinstance(q, Generator) for q in c.quals)
-    )
-
-
-def _update_sql(old: DataFrame, comp: Comp, env, qb: _Query, ndims: int, fresh):
-    """An update (see ``_is_update``) of ``old`` as one query: the bag
-    ``q`` without the lookup, ``old FULL OUTER JOIN q`` on the key with
-    ``w = coalesce(old._v, d)``, and the value ``f(w, …)`` where a row of
-    ``q`` is present, else ``old._v``. Into a fresh ``old`` every lookup
-    misses: ``w`` is ``d`` and there is no join. None when the bag is
-    empty."""
-    look = comp.quals[-1]
-    res = _relation(Comp(comp.head, comp.quals[:-1]), env, qb)
-    if res is None:
-        return None
-    return _update_rows(old, look.var, to_sql(look.default, env), *res, env, qb, ndims, fresh)
-
-
-def _update_rows(old: DataFrame, var: str, default: str, fr: _Frontier, head,
-                 env, qb: _Query, ndims: int, fresh) -> str:
-    """``_update_sql`` over the relation ``fr`` of the update's bag
-    without its lookup, which binds ``var`` to ``old``'s value, else to
-    the SQL ``default``."""
-    exprs = [to_sql(x, env) for x in head.items]
-    if fresh:
-        fr.select(qb, fr.with_cols({var: f"coalesce(CAST(NULL AS {fresh[-1]}), {default})"}))
-        return _fresh_sql(fresh, exprs, fr.src)
-    ocols = _key_cols(ndims, f"_lk_{var}_", f"_lv_{var}")
-    scan = qb.scan(old, ocols)
-    ocols = list(map(_id, ocols))
-    hit = _id(f"_hit_{var}")
-    fr.select(qb, [_id(c) for c in fr.cols] + [f"true AS {hit}"])
-    on = " AND ".join(f"({e} = {c})" for e, c in zip(exprs[:-1], ocols))
-    fr.select(qb, [_id(c) for c in fr.cols] + [
-        hit, *ocols, f"coalesce({ocols[-1]}, {default}) AS {_id(var)}"
-    ], f" FULL OUTER JOIN {scan} ON {on}")
-    items = [f"coalesce({e}, {c})" for e, c in zip(exprs, ocols[:-1])] + [
-        f"coalesce(CASE WHEN {hit} THEN {exprs[-1]} END, {ocols[-1]})"
-    ]
-    return "SELECT " + ", ".join(
-        f"{e} AS {_id(c)}" for e, c in zip(items, _key_cols(ndims))
-    ) + f" FROM {fr.src}"
 
 
 # ------------------------------------------------------ sibling groups
@@ -645,23 +578,13 @@ def _group_arrays(gp, stmts, env: dict, spark: SparkSession, types: dict) -> dic
     out = {}
     for i, (st, m) in enumerate(zip(stmts, gp.members)):
         _, (g, *rest) = _own_conds(m)
-        ndims = types[st.name].ndims
-        old = _array(env, st.name)
         mq = _Query(spark)
         split = _Frontier(mq.scan(grouped, grouped.columns), list(grouped.columns))
         split.select(mq, [f"{_id(f'_g{i}_k{j}')} AS {_id(n)}" for j, n in enumerate(g.names)] + [
             f"{_id(f'_g{i}_a{j}')} AS {_id(n)}" for j, (n, _, _) in enumerate(g.aggs)
         ], f" WHERE `_tag` = {i}")
         split.cols = list(g.names) + [n for n, _, _ in g.aggs]
-        # an array's group-by comes from an update (rule 15a), whose last
-        # step looks up the pre-update value
-        if not (_is_update(st.term, ndims) and isinstance(rest[-1], Lookup)):
-            raise BackendError(f"a grouped array assignment that is not an update: {show(st.term)}")
-        _apply(split, tuple(rest[:-1]), env, mq, {})
-        look = rest[-1]
-        fresh = _col_types(types[st.name]) if st.fresh else None
-        sql = _update_rows(old, look.var, _lit(look.default), split, m.head, env, mq,
-                           ndims, fresh)
+        sql = _merge_sql(st.name, types[st.name], st.fresh, split, tuple(rest), m.head, env, mq, {})
         out[st.name] = mq.run(sql, show(st.term))
     return out
 
@@ -680,19 +603,25 @@ class _Spark:
 
     def array(self, st, t: A.TArray, env: dict) -> DataFrame:
         qb = _Query(self.spark)
-        sql = _bag_sql(st.term, env, qb, t.ndims, _col_types(t) if st.fresh else None)
-        if sql is None or isinstance(sql, DataFrame):
-            return sql
-        return qb.run(sql, show(st.term))
+        res = _relation(st.term.new, env, qb)
+        if res is None:
+            return env[st.name]  # X ⊲ ∅ = X
+        fr, steps, head, b = res
+        if fr is None:
+            # one row, its keys and value computed on the driver
+            fr = _Frontier(f"range(1) AS {qb.alias()}", [])
+            head = TupleT(tuple(Const(compile_term(x, env)(b)) for x in head.items))
+        return qb.run(_merge_sql(st.name, t, st.fresh, fr, steps, head, env, qb, b), show(st.term))
 
     def scalar(self, comp: Comp, env: dict) -> list:
         qb = _Query(self.spark)
         res = _relation(comp, env, qb)
         if res is None:
             return []
-        fr, head = res
+        fr, steps, head, b = res
         if fr is None:
-            return [head]
+            return [compile_term(head, env)(b)]
+        _apply(fr, steps, env, qb, b)
         sql = f"SELECT {to_sql(head, env)} AS `_v` FROM {fr.src}"
         # not limit(2): it scans partitions incrementally and launches
         # a second job whenever the first partition holds no row

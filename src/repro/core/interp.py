@@ -131,7 +131,13 @@ def _compile_store(dest, value, combine=None):
     fv = _compile_expr(value)
     if isinstance(dest, A.DVar):
         n = dest.name
-        return _strict(lambda sig, v: put(sig, n, v), [fv])
+
+        def store(sig, v):
+            if isinstance(v, dict):  # sig[n] would alias the array
+                raise InterpError(f"whole-array assignment to {n}: assign its elements in a for loop")
+            put(sig, n, v)
+
+        return _strict(store, [fv])
     n = dest.array
     return _strict(
         lambda sig, v, *ks: put(sig[n], _key(ks), v),

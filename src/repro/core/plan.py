@@ -508,7 +508,9 @@ def exec_code(code, env: dict, engine, types: dict) -> dict:
     environment. The engine gives:
 
     * ``empty(t)``: a new empty array of type ``t``;
-    * ``array(st, t, env)``: the new value of the array ``st`` assigns;
+    * ``array(st, t, env)``: the new value of the array ``st`` assigns,
+      whose term is a merge ``X ⊲ comp`` into that array ``X`` (rules
+      14c and 15a), with a head of ``t.ndims`` keys and a value;
     * ``scalar(comp, env)``: the elements of a comprehension;
     * ``group(gp, stmts, env, types)``: the new values of a ``TGroup``'s
       destinations, from its ``GroupPlan``; each member reads the state
@@ -525,6 +527,11 @@ def exec_code(code, env: dict, engine, types: dict) -> dict:
         elif isinstance(st, TAssign):
             t = types.get(st.name)
             if isinstance(t, A.TArray):
+                new = member_comp(st)
+                if not (isinstance(st.term, Merge) and new is not None and isinstance(new.head, TupleT)
+                        and len(new.head.items) == t.ndims + 1):
+                    raise engine.error(f"array assignment that is no merge of keys and a value "
+                                       f"into {st.name}: {show(st.term)}")
                 env[st.name] = engine.array(st, t, env)
             else:
                 vs = _scalar(engine, st.term, env)

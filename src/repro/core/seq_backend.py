@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .comprehension import Comp, Merge, StateRef
+from .comprehension import Comp
 from .monoids import BIN
 from .plan import (
     Filter,
@@ -125,21 +125,6 @@ def _run_steps(rows: list, steps: tuple, env: dict, b: dict) -> list:
     return rows
 
 
-def _bag_to_dict(term, env, ndims: int):
-    if isinstance(term, Merge):
-        old = env[term.old.name]
-        new = _bag_to_dict(term.new, env, ndims)
-        if new is None:
-            return old
-        merged = dict(old)
-        merged.update(new)
-        return merged
-    if isinstance(term, StateRef):
-        return env[term.name]
-    res = eval_comp(term, env)
-    return None if res is None else _rows_to_dict(*res, env, ndims)
-
-
 def _rows_to_dict(rows: list, head, env: dict, ndims: int) -> dict:
     fs = [compile_term(x, env) for x in head.items]
     if ndims == 1:
@@ -157,7 +142,8 @@ class _Seq:
         return {}
 
     def array(self, st, t, env: dict) -> dict:
-        return _bag_to_dict(st.term, env, t.ndims)
+        res = eval_comp(st.term.new, env)
+        return env[st.name] if res is None else {**env[st.name], **_rows_to_dict(*res, env, t.ndims)}
 
     def scalar(self, comp: Comp, env: dict) -> list:
         res = eval_comp(comp, env)

@@ -276,6 +276,15 @@ class Translator:
                 out.extend(self.S(s.els, q_else, bound | {p2}))
             return out
 
+        if isinstance(s, (A.SAssign, A.SIncr)) and isinstance(s.dest, A.DVar) and isinstance(
+            self.types.get(s.dest.name), A.TArray
+        ):
+            # rules 14a and 15a give a variable the one element of a bag,
+            # never an array: the engines would each do something else
+            raise TranslationError(
+                f"whole-array assignment to {s.dest.name}: assign its elements in a for loop"
+            )
+
         if isinstance(s, A.SAssign):  # rule 15b
             return [self._assign(s.dest, s.expr, quals, bound)]
 

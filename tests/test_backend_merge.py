@@ -1,13 +1,15 @@
-"""The Spark lowering of array updates and loops: an update of an existing
-array is one full outer join, a merge into a just-initialised array is
-the new bag alone, and a ``while`` loop checkpoints its carried arrays
-only before an iteration that reads them."""
+"""The Spark lowering of array merges, updates and loops: a merge or an
+update of an existing array is one full outer join, a merge into a
+just-initialised array is the new bag alone, and a ``while`` loop
+checkpoints its carried arrays only before an iteration that reads
+them."""
 import re
 
 import pytest
 
 from repro.core import ast as A
 from repro.core.convert import approx_dict_equal, df_to_dict, dict_to_df
+from repro.core.interp import InterpError, interpret
 from repro.core.pipeline import compile_program, run_program
 from repro.core.translate import TranslationError
 from repro.programs.handwritten import HANDWRITTEN
@@ -114,6 +116,41 @@ def test_tuple_sum_agrees(spark):
         "for i = 0, 1 do { M[0] += (V[i]._1, V[i]._2); M[1] += V[i]; s += V[i]; };"
     for env in three_engines(spark, src, {"V": TUPLE_V}, {"V": VEC_LL}):
         assert _same(env["M"], {0: (103, 108), 1: (3, 8)}) and _same(env["s"], (103, 108))
+
+
+VEC_DD = A.TArray(1, A.TTuple((D, D)))
+# keys 0 and 2 are in both A and the old C, 1 only in C, 3 only in A
+TUPLE_A = {0: (1.0, 2.0), 2: (5.0, 6.0), 3: (7.0, 8.0)}
+TUPLE_C = {0: (0.0, 0.0), 1: (3.0, 4.0), 5: (9.0, 9.0)}
+
+
+@pytest.mark.parametrize("src,want", [
+    # over key 1 the new bag has no row: a struct of its NULL columns
+    # must not replace C[1]
+    ("for j = 0, 2 do C[j] := (A[j]._1, A[j]._2);",
+     {0: (1.0, 2.0), 1: (3.0, 4.0), 2: (5.0, 6.0), 5: (9.0, 9.0)}),
+    # a constant key with a generator, and one without
+    ("C[1] := (A[3]._2, A[0]._1);", {**TUPLE_C, 1: (8.0, 1.0)}),
+    ("C[7] := (0.5, 1.5);", {**TUPLE_C, 7: (0.5, 1.5)}),
+], ids=["tuple-value-missed-key", "constant-key", "generator-free"])
+def test_plain_merge_into_existing_array_agrees(spark, src, want):
+    envs = three_engines(spark, src, {"A": TUPLE_A, "C": TUPLE_C}, {"A": VEC_DD, "C": VEC_DD})
+    for env in envs:
+        assert _same(env["C"], want)
+
+
+@pytest.mark.parametrize("src", [
+    "var V: vector[double] = vector(); V := W; V[0] := 9.0;",
+    "var V: vector[double] = W;",
+    "W := W;",
+    "var V: vector[double] = vector(); V += W;",
+])
+def test_whole_array_assignment_is_rejected(src):
+    # the interpreter made V an alias of W; seq and Spark failed at run time
+    with pytest.raises(TranslationError, match="whole-array assignment to [VW]: assign its elements"):
+        compile_program(src, {"W": VEC_D})
+    with pytest.raises(InterpError, match="whole-array assignment"):
+        interpret(src, {"W": {0: 1.0}})
 
 
 def test_update_of_existing_array_is_one_join(spark):

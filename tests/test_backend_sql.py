@@ -12,6 +12,7 @@ from repro.core.backend import BackendError, run_code
 from repro.core.comprehension import (
     Comp,
     Generator,
+    Merge,
     Proj,
     PTuple,
     PVar,
@@ -243,10 +244,10 @@ def test_generator_free_scalar_statement_issues_no_query(spark, sql_calls):
 # ------------------------------------------------- loud errors
 def test_rejected_query_names_statement_and_sql(spark):
     before = _temp_views(spark)
-    term = Comp(TupleT((Var("i"), Proj(Var("v"), "_3"))), (
+    term = Merge(StateRef("R"), Comp(TupleT((Var("i"), Proj(Var("v"), "_3"))), (
         Generator(PTuple((PVar("i"), PVar("v"))), StateRef("V")),
-    ))
-    env = {"V": dict_to_df(spark, {0: (1, 2.0)}, VEC_LD)}
+    )))
+    env = {"V": dict_to_df(spark, {0: (1, 2.0)}, VEC_LD), "R": dict_to_df(spark, {}, VEC_LD)}
     with pytest.raises(BackendError) as err:
         run_code([TAssign("R", term)], env, spark, {"V": VEC_LD, "R": VEC_LD})
     msg = str(err.value)

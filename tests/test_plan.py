@@ -11,6 +11,7 @@ from repro.core.comprehension import (
     Generator,
     GroupByQ,
     LetQ,
+    Merge,
     PTuple,
     PVar,
     StateRef,
@@ -20,7 +21,7 @@ from repro.core.comprehension import (
 from repro.core.convert import df_to_dict, dict_to_df
 from repro.core.plan import Filter, GroupBy, Join, Let, Scan, plan
 from repro.core.seq_backend import run_code_seq
-from repro.core.translate import TAssign
+from repro.core.translate import TAssign, TInit
 
 VEC_D = A.TArray(1, A.TBasic("double"))
 
@@ -69,6 +70,7 @@ def test_condition_on_a_reduction_filters_groups_on_both_engines(spark):
     ))
     V = {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}
     types = {"V": VEC_D, "C": VEC_D}
-    seq = run_code_seq([TAssign("C", term)], {"V": V}, types)
-    sp = run_code([TAssign("C", term)], {"V": dict_to_df(spark, V, VEC_D)}, spark, types)
+    code = [TInit("C", VEC_D), TAssign("C", Merge(StateRef("C"), term), fresh=True)]
+    seq = run_code_seq(code, {"V": V}, types)
+    sp = run_code(code, {"V": dict_to_df(spark, V, VEC_D)}, spark, types)
     assert seq["C"] == df_to_dict(sp["C"], 1) == {1: 6.0}
