@@ -12,7 +12,9 @@ off, and for KMeans and PageRank at ``num_steps=4``, it prints:
 * a digest of the outputs (arrays as sorted dicts, then ``repr``);
 * the exchange and join nodes in each output array's executed plan, so
   that a change that must alter the SQL text can show that the physical
-  shape stayed the same.
+  shape stayed the same, and its whole-stage codegen subtrees: each is
+  one Java class that Spark compiles when the plan runs, and that its
+  codegen cache may evict between runs.
 
 Spark runs on ``local[2]`` (unless ``PYSPARK_SUBMIT_ARGS`` names another
 master; the first line of the output shows it) with 8 shuffle partitions
@@ -60,16 +62,18 @@ def digest(outs: dict, types: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-_NODE = re.compile(r"[\s:|+\-]*(?:\*\(\d+\)\s*)?([A-Za-z]+)")
+_NODE = re.compile(r"[\s:|+\-]*(?:\*\((\d+)\)\s*)?([A-Za-z]+)")
 
 
 def plan_shape(df) -> str:
-    """``exchanges E joins J`` of a DataFrame's executed plan."""
+    """``exchanges E joins J codegen C`` of a DataFrame's executed plan:
+    C counts its whole-stage codegen subtrees (the ``*(n)`` ids)."""
     plan = df._jdf.queryExecution().executedPlan().toString()
-    nodes = [m.group(1) for ln in plan.splitlines() if (m := _NODE.match(ln))]
-    ex = sum(n.endswith("Exchange") and n != "ReusedExchange" for n in nodes)
-    joins = sum(n.endswith("Join") or n == "CartesianProduct" for n in nodes)
-    return f"exchanges {ex} joins {joins}"
+    nodes = [m.groups() for ln in plan.splitlines() if (m := _NODE.match(ln))]
+    ex = sum(n.endswith("Exchange") and n != "ReusedExchange" for _, n in nodes)
+    joins = sum(n.endswith("Join") or n == "CartesianProduct" for _, n in nodes)
+    codegen = len({i for i, _ in nodes if i is not None})
+    return f"exchanges {ex} joins {joins} codegen {codegen}"
 
 
 def run(spark, prog, fuse: bool, steps=None):

@@ -37,6 +37,14 @@ The plan applies conditions as soon as all their variables are bound,
 which lets the Section 3.6 ``inRange`` predicates land on the array
 scans.
 
+Two lowerings follow hand-written programs where ``plan.fuse_code``
+marks them. A range fill ``X ⊲ {(i…, c) | i <- range…}``
+(``TAssign.fill``) is no join: the rows of ``X`` outside the ranges
+``UNION ALL`` one ``range`` over their product, and with the update
+after it, ``range LEFT JOIN`` the update's groups (``_fill_sql``). A join
+without key equalities whose source ``inRange`` bounds to a few rows
+(``TAssign.broadcast``) broadcasts that source.
+
 ``plan.exec_code`` runs the statements; at a ``while`` loop's
 iteration boundary this engine checkpoints the loop-carried arrays.
 """
@@ -44,6 +52,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from dataclasses import replace
 
 from pyspark.errors import AnalysisException
 from pyspark.sql import DataFrame, Row, SparkSession
@@ -61,6 +70,8 @@ from .comprehension import (
     TupleT,
     UnOp,
     Var,
+    free_vars,
+    map_terms,
     show,
     subst,
 )
@@ -74,13 +85,20 @@ from .plan import (
     Total,
     compile_term,
     exec_code,
+    join_bounds,
     plan,
+    range_fill,
     run_driver,
 )
 
 
 class BackendError(Exception):
     pass
+
+
+# A join without key equalities broadcasts a source that ``inRange``
+# bounds to at most this many rows (``TAssign.broadcast``)
+BROADCAST_ROWS = 10_000
 
 
 # ------------------------------------------------------------- schemas
@@ -266,7 +284,11 @@ def _agg_sql(monoid: str, e: str, filt: str = "") -> str:
     """The aggregate ``monoid``/``e``; ``filt`` (a ``FILTER (WHERE …)``
     clause) restricts each aggregate call in it to some rows."""
     if monoid == "argmin":
-        return f"min_by({e}, {e}.`_2`){filt}"
+        # two aggregates over fields, not min_by over the struct: a struct
+        # buffer would make Spark sort the groups instead of hashing them
+        least = f"min({e}.`_2`){filt}"
+        return (f"CASE WHEN {least} IS NOT NULL THEN named_struct('_1', "
+                f"min_by({e}.`_1`, {e}.`_2`){filt}, '_2', {least}) END")
     if monoid == "*":
         # Spark SQL has no product aggregate: fold the group's values,
         # seeded with the first one so the result keeps their type
@@ -281,11 +303,13 @@ def _agg_sql(monoid: str, e: str, filt: str = "") -> str:
 
 
 class _Query:
-    """One Spark SQL query under construction: the arrays it reads and
-    fresh subquery aliases."""
+    """One Spark SQL query under construction: the arrays it reads,
+    fresh subquery aliases, and whether a join without key equalities
+    may broadcast a small source (``TAssign.broadcast``)."""
 
-    def __init__(self, spark: SparkSession):
+    def __init__(self, spark: SparkSession, broadcast: bool = False):
         self.spark = spark
+        self.broadcast = broadcast
         self.views: dict = {}  # id(DataFrame) -> (view name, DataFrame)
         self.n = 0
 
@@ -342,8 +366,8 @@ class _Frontier:
         self.src = src
         self.cols = cols
 
-    def select(self, qb: _Query, items: list, tail: str = "") -> None:
-        self.src = f"(SELECT {', '.join(items)} FROM {self.src}{tail}) AS {qb.alias()}"
+    def select(self, qb: _Query, items: list, tail: str = "", hint: str = "") -> None:
+        self.src = f"(SELECT {hint}{', '.join(items)} FROM {self.src}{tail}) AS {qb.alias()}"
 
     def with_cols(self, exprs: dict) -> list:
         """Select items that add the columns ``exprs`` names, or replace
@@ -368,18 +392,26 @@ def _agg_items(aggs: tuple, env: dict) -> list:
     return [f"{_agg_sql(m, to_sql(e, env))} AS {_id(n)}" for n, m, e in aggs]
 
 
-def _relation(comp: Comp, env: dict, qb: _Query):
+def _relation(comp: Comp, env: dict, qb: _Query, own: str = ""):
     """Plan a comprehension (see ``plan``) and run its driver steps:
     ``(frontier, steps, head, b)``, the relation of the plan's source,
     the steps after it, the head and the driver's bindings; the
     frontier is None when it has no generators. None for an empty
-    bag."""
+    bag. A comprehension without generators whose driver steps end in
+    the lookup of the array ``own`` at the head's key (an update of
+    ``own``, rule 15a) keeps that lookup as its one step, for its merge
+    to read from the old side of the join."""
     p = plan(comp)
-    b = run_driver(p, env, lambda a, k, d: _lookup(qb.spark, env, a, k, d))
+    look = p.driver[-1:]
+    if not (not p.steps and look and isinstance(look[0], Lookup) and look[0].array == own
+            and look[0].key == p.head.items[:-1]):
+        look = ()
+    b = run_driver(replace(p, driver=p.driver[:len(p.driver) - len(look)]), env,
+                   lambda a, k, d: _lookup(qb.spark, env, a, k, d))
     if b is None:
         return None
     if not p.steps:
-        return None, (), p.head, b
+        return None, look, p.head, b
     return _lower(p.steps[:1], env, qb, b), p.steps[1:], p.head, b
 
 
@@ -391,14 +423,29 @@ def _lower(steps: tuple, env: dict, qb: _Query, b: dict) -> _Frontier:
     return fr
 
 
+def _small(join: Join, env: dict, b: dict) -> bool:
+    """Whether ``inRange`` bounds the source of a join without key
+    equalities to at most ``BROADCAST_ROWS`` rows (``join_bounds``),
+    the bounds evaluated on the driver."""
+    bs = join_bounds(join)
+    if bs is None:
+        return False
+    sizes = (int(compile_term(hi, env)(b)) - int(compile_term(lo, env)(b)) + 1 for lo, hi in bs)
+    return math.prod(max(n, 0) for n in sizes) <= BROADCAST_ROWS
+
+
 def _apply(fr: _Frontier, steps: tuple, env: dict, qb: _Query, b: dict) -> None:
-    """Extend the relation ``fr`` by plan steps."""
+    """Extend the relation ``fr`` by plan steps; if ``qb.broadcast``, a
+    join without key equalities broadcasts a small source (``_small``)."""
     for st in steps:
         if isinstance(st, Join):
             g = _source_sql(st.source, env, qb, b)
+            # the source's alias is the last one _source_sql took
+            hint = f"/*+ BROADCAST(`_q{qb.n}`) */ " if qb.broadcast and _small(st, env, b) else ""
             fr.cols = fr.cols + list(st.source.names)
             on = " AND ".join(to_sql(c, env) for c in st.conds)
-            fr.select(qb, [_id(c) for c in fr.cols], f" JOIN {g} ON {on}" if on else f" CROSS JOIN {g}")
+            fr.select(qb, [_id(c) for c in fr.cols],
+                      f" JOIN {g} ON {on}" if on else f" CROSS JOIN {g}", hint)
         elif isinstance(st, Filter):
             where = " AND ".join(to_sql(c, env) for c in st.conds)
             fr.select(qb, [_id(c) for c in fr.cols], f" WHERE {where}")
@@ -486,6 +533,69 @@ def _merge_sql(name: str, t: A.TArray, fresh: bool, fr: _Frontier, steps: tuple,
     ) + f" FROM {fr.src}"
 
 
+def _range_rows(names: list, bounds: list, qb: _Query) -> _Frontier:
+    """The rows of the indexes ``names`` over the product of the ranges
+    ``bounds`` (``(lo, hi)``, inclusive) as one ``range``: with several,
+    each index is a div/mod of the row number, with no join."""
+    if len(names) == 1:
+        ((lo, hi),) = bounds
+        return _Frontier(f"range({_lit(lo)}, {_lit(hi + 1)}) AS {qb.alias()}({_id(names[0])})", names)
+    sizes = [max(hi - lo + 1, 0) for lo, hi in bounds]
+    fr = _Frontier(f"range(0, {_lit(math.prod(sizes))}) AS {qb.alias()}(`_r`)", ["_r"])
+    items = []
+    for j, (n, (lo, _)) in enumerate(zip(names, bounds)):
+        i = f"(`_r` div {_lit(math.prod(max(x, 1) for x in sizes[j + 1:]))})"
+        if j:
+            i = f"({i} % {_lit(max(sizes[j], 1))})"
+        items.append(f"({_lit(lo)} + {i}) AS {_id(n)}")
+    fr.select(qb, items)
+    fr.cols = names
+    return fr
+
+
+def _fill_sql(st, t: A.TArray, env: dict, qb: _Query) -> str:
+    """``V := (V ⊲ fill) ⊲ e`` for an assignment with a range ``fill``
+    (``TAssign.fill``), with no join between ``V`` and the fill: the rows
+    of ``V`` outside the fill's ranges (none if ``V`` is ``fresh``)
+    ``UNION ALL`` the fill's rows, one ``range`` over the product of its
+    ranges (``_range_rows``). If ``e`` is an update (rule 15a,
+    ``plan.fills_before``), the fill's rows are ``range LEFT JOIN`` the
+    update's groups on the key instead: its lookup ``w`` of the
+    pre-update value is the fill's value, and a key with no group keeps
+    that value."""
+    fill = range_fill(st.fill)
+    bounds = [tuple(int(compile_term(x, env)({})) for x in lh) for lh in fill.bounds]
+    pair = st.fill != st.term.new
+    # a pair's indexes get names of their own, apart from the update's
+    names = [f"_f{j + 1}" for j in range(len(fill.keys))] if pair else list(fill.keys)
+    value = to_sql(subst(fill.value, {k: Var(n) for k, n in zip(fill.keys, names)}), env)
+    fr = _range_rows(names, bounds, qb)
+    if pair:
+        upd, steps, head, b = _relation(st.term.new, env, qb)
+        *steps, look = steps
+        _apply(upd, tuple(steps), env, qb, b)
+        upd.select(qb, [_id(c) for c in upd.cols] + ["true AS `_hit`"])
+        on = " AND ".join(f"({_id(n)} = {to_sql(k, env)})" for n, k in zip(names, head.items[:-1]))
+        fr.select(qb, [_id(c) for c in names + upd.cols + ["_hit"]] + [f"{value} AS {_id(look.var)}"],
+                  f" LEFT JOIN {upd.src} ON {on}")
+        value = f"CASE WHEN `_hit` THEN {to_sql(head.items[-1], env)} ELSE {_id(look.var)} END"
+    rows = _fresh_sql(_col_types(t), [_id(n) for n in names] + [value], fr.src)
+    if st.fresh:
+        return rows
+    inside = " AND ".join(f"({_id(c)} >= {_lit(lo)} AND {_id(c)} <= {_lit(hi)})"
+                          for c, (lo, hi) in zip(_key_cols(t.ndims), bounds))
+    scan = qb.scan(_array(env, st.name), _key_cols(t.ndims))
+    return f"SELECT * FROM {scan} WHERE NOT ({inside}) UNION ALL {rows}"
+
+
+def _on_driver(t, keep: set, env: dict, b: dict):
+    """``t`` with each largest subterm that reads none of the variables
+    ``keep`` evaluated on the driver, over its bindings ``b``."""
+    if not free_vars(t) & keep:
+        return Const(compile_term(t, env)(b))
+    return map_terms(t, lambda x: _on_driver(x, keep, env, b))
+
+
 def _fresh_sql(types: list, exprs: list, src: str) -> str:
     """The rows ``exprs`` over ``src`` as a merge into a fresh array with
     column types ``types``. Each column keeps the type the full outer
@@ -517,7 +627,7 @@ def _group_scalars(gp, stmts, env: dict, spark: SparkSession) -> dict:
     rows by ``FILTER (WHERE …)``, and a count of those rows per member;
     a member with none leaves its destination unchanged. Returns the
     new values."""
-    qb = _Query(spark)
+    qb = _Query(spark, any(st.broadcast for st in stmts))
     fr = _lower(gp.shared, env, qb, {})
     # each member's conditions once per row, as a column: its aggregates
     # and its count all filter on them
@@ -554,7 +664,7 @@ def _group_arrays(gp, stmts, env: dict, spark: SparkSession, types: dict) -> dic
     otherwise. Each member's split then continues like an unfused
     statement, with its merge into the destination. Returns the new
     arrays."""
-    qb = _Query(spark)
+    qb = _Query(spark, any(st.broadcast for st in stmts))
     fr = _lower(gp.shared, env, qb, {})
     tags = ", ".join(str(i) for i in range(len(gp.members)))
     fr.select(qb, [_id(c) for c in fr.cols] + [f"explode(array({tags})) AS `_tag`"])
@@ -602,19 +712,25 @@ class _Spark:
         return empty_array(self.spark, t)
 
     def array(self, st, t: A.TArray, env: dict) -> DataFrame:
-        qb = _Query(self.spark)
-        res = _relation(st.term.new, env, qb)
+        qb = _Query(self.spark, st.broadcast)
+        if st.fill is not None:
+            return qb.run(_fill_sql(st, t, env, qb), show(st.term))
+        res = _relation(st.term.new, env, qb, st.name)
         if res is None:
             return env[st.name]  # X ⊲ ∅ = X
         fr, steps, head, b = res
         if fr is None:
-            # one row, its keys and value computed on the driver
+            # one row, its keys and value computed on the driver; an
+            # update's value but for its lookup w, which the merge reads
             fr = _Frontier(f"range(1) AS {qb.alias()}", [])
-            head = TupleT(tuple(Const(compile_term(x, env)(b)) for x in head.items))
+            keep = {lk.var for lk in steps}
+            keys = tuple(Const(compile_term(x, env)(b)) for x in head.items[:-1])
+            head = TupleT(keys + (_on_driver(head.items[-1], keep, env, b),))
+            steps = tuple(replace(lk, key=keys) for lk in steps)
         return qb.run(_merge_sql(st.name, t, st.fresh, fr, steps, head, env, qb, b), show(st.term))
 
-    def scalar(self, comp: Comp, env: dict) -> list:
-        qb = _Query(self.spark)
+    def scalar(self, comp: Comp, env: dict, broadcast: bool = False) -> list:
+        qb = _Query(self.spark, broadcast)
         res = _relation(comp, env, qb)
         if res is None:
             return []

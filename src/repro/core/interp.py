@@ -139,10 +139,13 @@ def _compile_store(dest, value, combine=None):
 
         return _strict(store, [fv])
     n = dest.array
-    return _strict(
-        lambda sig, v, *ks: put(sig[n], _key(ks), v),
-        [fv, *map(_compile_expr, dest.indexes)],
-    )
+
+    def store_elem(sig, v, *ks):
+        if isinstance(v, dict):  # an element would alias the array
+            raise InterpError(f"array used as a value: stored into an element of {n}")
+        put(sig[n], _key(ks), v)
+
+    return _strict(store_elem, [fv, *map(_compile_expr, dest.indexes)])
 
 
 def _compile_stmt(s):

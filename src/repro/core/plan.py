@@ -26,8 +26,11 @@ too.
 
 ``plan_group`` lowers sibling comprehensions that start with the same
 scan and joins to those shared steps plus each one's own; ``fuse_code``
-groups the target-code assignments it can serve into a ``TGroup``.
-``exec_code`` runs target code (Section 3.8) on either engine.
+groups the target-code assignments it can serve into a ``TGroup``, and
+marks the range fills and the keyless joins with a small side that the
+Spark engine lowers the way hand-written programs do (``TAssign.fill``,
+``TAssign.broadcast``). ``exec_code`` runs target code (Section 3.8) on
+either engine.
 """
 from __future__ import annotations
 
@@ -276,6 +279,95 @@ def plan(comp: Comp) -> Plan:
     return Plan(tuple(driver), tuple(steps), reduce(comp.head))
 
 
+# ------------------------------------------------------- range bounds
+def bounds(conds) -> dict:
+    """``{var: [(lo, hi), …]}``: the ``inRange(var, lo, hi)`` among
+    ``conds`` whose bounds read no variable, so the driver can evaluate
+    them."""
+    out: dict = {}
+    for c in conds:
+        if (isinstance(c, InRange) and isinstance(c.expr, Var)
+                and not free_vars(c.lo) | free_vars(c.hi)):
+            out.setdefault(c.expr.name, []).append((c.lo, c.hi))
+    return out
+
+
+def join_bounds(join: Join) -> Optional[tuple]:
+    """The ``(lo, hi)`` of each key of a join's source, if the join has
+    no key equalities and its conditions bound every key of the array it
+    scans by ``inRange``; else None. Such a source has at most the
+    product of the ranges' sizes rows."""
+    src = join.source
+    if join.keys or not isinstance(src, Scan) or len(src.names) < 2:
+        return None
+    bs = bounds(join.conds)
+    if any(k not in bs for k in src.names[:-1]):
+        return None
+    return tuple(bs[k][0] for k in src.names[:-1])
+
+
+@dataclass(frozen=True)
+class Fill:
+    """A range fill ``{(i…, c) | i <- range…}``: the head's indexes
+    ``keys``, the ``(lo, hi)`` of each one's range, and the value
+    ``c``, which reads no other variable."""
+
+    keys: tuple
+    bounds: tuple
+    value: object
+
+
+def range_fill(comp) -> Optional[Fill]:
+    """``comp`` as a ``Fill``, or None if it is not one: only generators
+    over ranges whose bounds read no variable, and a head of those
+    indexes, each once in any order, and a value."""
+    if not (isinstance(comp, Comp) and isinstance(comp.head, TupleT) and comp.quals):
+        return None
+    ranges: dict = {}
+    for q in comp.quals:
+        if not (isinstance(q, Generator) and isinstance(q.pat, PVar)
+                and isinstance(q.source, RangeT) and not free_vars(q.source)):
+            return None
+        ranges[q.pat.name] = (q.source.lo, q.source.hi)
+    *keys, value = comp.head.items
+    names = [k.name for k in keys if isinstance(k, Var)]
+    if (len(names) != len(keys) or sorted(names) != sorted(ranges) or aggs(value)
+            or not free_vars(value) <= set(names)):
+        return None
+    return Fill(tuple(names), tuple(ranges[n] for n in names), value)
+
+
+def fills_before(fill: Fill, name: str, comp: Comp) -> bool:
+    """Whether the update ``comp`` (rule 15a) of the array ``name`` can
+    be lowered with a range ``fill`` of that array that comes before
+    it: it reads the array only by its lookup, and an ``inRange``
+    on the fill's bounds (or a range over them) constrains every key it
+    groups by, so every key it updates was filled."""
+    if state_refs(comp).count(name) != 1:
+        return False
+    p = plan(comp)
+    if p.driver or not p.steps or not isinstance(look := p.steps[-1], Lookup):
+        return False
+    keys = p.head.items[:-1]
+    groups = [i for i, st in enumerate(p.steps) if isinstance(st, GroupBy)]
+    if look.array != name or look.key != keys or len(keys) != len(fill.keys) or len(groups) != 1:
+        return False
+    g, before = p.steps[groups[0]], p.steps[:groups[0]]
+    conds = [c for st in before if isinstance(st, (Filter, Join)) for c in st.conds]
+    bs = bounds(conds)
+    for st in before:
+        src = st.source if isinstance(st, Join) else st
+        if isinstance(src, Range):
+            bs.setdefault(src.name, []).append((src.lo, src.hi))
+    for k, b in zip(keys, fill.bounds):
+        if not (isinstance(k, Var) and k.name in g.names):
+            return False
+        key = g.keys[g.names.index(k.name)]
+        if not (isinstance(key, Var) and b in bs.get(key.name, ())):
+            return False
+    return True
+
+
 # ------------------------------------------------------- sibling groups
 @dataclass(frozen=True)
 class GroupPlan:
@@ -384,6 +476,8 @@ def _fits(group: list, st: TAssign) -> bool:
     comprehension of the same kind (a scalar's ``Total``, an array's
     ``GroupBy``), and one ``GroupPlan`` for all of them."""
     names = {g.name for g in group}
+    if st.fill is not None or group[0].fill is not None:
+        return False
     if st.name in names or names & set(state_refs(st.term)):
         return False
     if any(st.name in state_refs(g.term) for g in group):
@@ -400,11 +494,64 @@ def _fits(group: list, st: TAssign) -> bool:
     )
 
 
+def _broadcast(st: TAssign) -> TAssign:
+    """``st`` with ``broadcast`` set if a join of its comprehension has
+    no key equalities and a source that ``inRange`` bounds
+    (``join_bounds``)."""
+    comp = member_comp(st)
+    try:
+        steps = plan(comp).steps if comp is not None else ()
+    except PlanError:  # left alone, running it reports the error
+        steps = ()
+    small = any(isinstance(s, Join) and join_bounds(s) is not None for s in steps)
+    return replace(st, broadcast=small)
+
+
+def _open_fill(out: list, name: str) -> Optional[int]:
+    """The position in the block ``out`` of the last assignment to the
+    array ``name``, if that is a range fill alone (``TAssign.fill``)
+    that can move to the end of ``out``: no statement after it mentions
+    ``name`` or assigns a scalar the fill reads."""
+    later: set = set()  # the names the statements after it assign
+    for j in range(len(out) - 1, -1, -1):
+        st = out[j]
+        if isinstance(st, TAssign) and st.name == name:
+            alone = st.fill is not None and st.fill is member_comp(st)
+            return j if alone and not later & set(state_refs(st.term)) else None
+        if not isinstance(st, (TAssign, TInit)) or st.name == name or (
+                isinstance(st, TAssign) and name in state_refs(st.term)):
+            return None
+        later.add(st.name)
+    return None
+
+
+def _fill(code: list) -> list:
+    """Mark the range fills of a block (``TAssign.fill``). A fill and an
+    update of the same array after it (``fills_before``) become one
+    assignment, the update's, marked with the fill and as fresh as the
+    fill was, when the statements between them neither mention the
+    array nor assign what the fill reads (``_open_fill``)."""
+    out: list = []
+    for st in code:
+        new = member_comp(st) if isinstance(st, TAssign) else None
+        j = _open_fill(out, st.name) if new is not None else None
+        if j is not None and fills_before(range_fill(out[j].fill), st.name, new):
+            fill = out.pop(j)
+            out.append(replace(st, fresh=fill.fresh, fill=fill.fill))
+        elif new is not None and isinstance(st.term, Merge) and range_fill(new) is not None:
+            out.append(replace(st, fill=new))
+        else:
+            out.append(st)
+    return out
+
+
 def fuse_code(code: list) -> list:
-    """Group each run of consecutive assignments that one scan can serve
-    (``_fits``) into a ``TGroup``, in ``while`` bodies too. Sources that
-    are ranges are never grouped: a range costs nothing to generate
-    again."""
+    """Lower a block for the Spark engine the way a hand-written program
+    would: mark its range fills (``_fill``) and its joins that may
+    broadcast (``_broadcast``), then group each run of consecutive
+    assignments that one scan can serve (``_fits``) into a ``TGroup``,
+    in ``while`` bodies too. Sources that are ranges are never grouped:
+    a range costs nothing to generate again."""
     out: list = []
     run: list = []
 
@@ -413,7 +560,9 @@ def fuse_code(code: list) -> list:
             out.append(run[0] if len(run) == 1 else TGroup(list(run)))
             run.clear()
 
-    for st in code:
+    for st in _fill(code):
+        if isinstance(st, TAssign):
+            st = _broadcast(st)
         if isinstance(st, TAssign) and run and _fits(run, st):
             run.append(st)
             continue
@@ -493,11 +642,12 @@ def run_driver(p: Plan, env: dict, lookup) -> Optional[dict]:
 
 
 # ------------------------------------------------------ statement execution
-def _scalar(engine, term, env: dict) -> list:
+def _scalar(engine, term, env: dict, broadcast: bool = False) -> list:
     """The elements of a scalar's new bag or a loop's test: none leaves
     the scalar as it is and ends the loop, more than one is an error. A
     term without generators is not a comprehension: no engine needed."""
-    vs = engine.scalar(term, env) if isinstance(term, Comp) else [compile_term(term, env)({})]
+    vs = (engine.scalar(term, env, broadcast) if isinstance(term, Comp)
+          else [compile_term(term, env)({})])
     if len(vs) > 1:
         raise engine.error(f"scalar assignment from a bag with more than one element: {show(term)}")
     return vs
@@ -510,8 +660,10 @@ def exec_code(code, env: dict, engine, types: dict) -> dict:
     * ``empty(t)``: a new empty array of type ``t``;
     * ``array(st, t, env)``: the new value of the array ``st`` assigns,
       whose term is a merge ``X ⊲ comp`` into that array ``X`` (rules
-      14c and 15a), with a head of ``t.ndims`` keys and a value;
-    * ``scalar(comp, env)``: the elements of a comprehension;
+      14c and 15a), with a head of ``t.ndims`` keys and a value, after
+      the range fill ``st.fill`` if there is one;
+    * ``scalar(comp, env, broadcast)``: the elements of a comprehension
+      (``broadcast``: see ``TAssign.broadcast``);
     * ``group(gp, stmts, env, types)``: the new values of a ``TGroup``'s
       destinations, from its ``GroupPlan``; each member reads the state
       from before the group;
@@ -534,7 +686,7 @@ def exec_code(code, env: dict, engine, types: dict) -> dict:
                                        f"into {st.name}: {show(st.term)}")
                 env[st.name] = engine.array(st, t, env)
             else:
-                vs = _scalar(engine, st.term, env)
+                vs = _scalar(engine, st.term, env, st.broadcast)
                 if vs:
                     env[st.name] = vs[0]
         elif isinstance(st, TGroup):

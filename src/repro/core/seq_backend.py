@@ -142,10 +142,16 @@ class _Seq:
         return {}
 
     def array(self, st, t, env: dict) -> dict:
-        res = eval_comp(st.term.new, env)
-        return env[st.name] if res is None else {**env[st.name], **_rows_to_dict(*res, env, t.ndims)}
+        if st.fill is not None and st.fill != st.term.new:  # V := (V ⊲ fill) ⊲ e
+            env = {**env, st.name: self._merge(st.name, st.fill, t, env)}
+        return self._merge(st.name, st.term.new, t, env)
 
-    def scalar(self, comp: Comp, env: dict) -> list:
+    @staticmethod
+    def _merge(name: str, comp: Comp, t, env: dict) -> dict:
+        res = eval_comp(comp, env)
+        return env[name] if res is None else {**env[name], **_rows_to_dict(*res, env, t.ndims)}
+
+    def scalar(self, comp: Comp, env: dict, broadcast: bool = False) -> list:
         res = eval_comp(comp, env)
         return [] if res is None else list(map(compile_term(res[1], env), res[0]))
 

@@ -29,6 +29,8 @@ addition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Optional
+
 from . import ast as A
 from .comprehension import (
     Agg,
@@ -69,11 +71,20 @@ class TInit:
 class TAssign:
     """``V := e`` where ``e`` is a bag-valued comprehension term;
     ``fresh`` if ``V``'s ``TInit`` comes before it in its block with no
-    other assignment to ``V`` in between, so ``V`` is empty here."""
+    other assignment to ``V`` in between, so ``V`` is empty here.
+
+    Two lowerings are decided by ``plan.fuse_code``. ``fill`` is a range
+    fill ``{(i…, c) | i <- range…}`` of the array ``V`` that this
+    assignment ``V := V ⊲ e`` runs first, as ``V := (V ⊲ fill) ⊲ e``,
+    lowered with it and without a join; a fill that no update follows
+    is its own ``e``. ``broadcast`` lets a join without key equalities
+    broadcast a source whose keys ``inRange`` bounds."""
 
     name: str
     term: object
     fresh: bool = False
+    fill: Optional[object] = None
+    broadcast: bool = False
 
 
 @dataclass
@@ -180,6 +191,12 @@ class Translator:
         if isinstance(e, A.EVar):
             if e.name in bound:
                 return Comp(Var(e.name), ())  # rule 11a, bound variable
+            if isinstance(self.types.get(e.name), A.TArray):
+                # a value is one element of the bag E[e]; an array is the
+                # source of a for-in loop, or read element by element
+                raise TranslationError(
+                    f"array {e.name} used as a value: read its elements, or loop over it with for-in"
+                )
             return Comp(StateRef(e.name), ())  # rule 11a, state variable
         if isinstance(e, A.EConst):
             return Comp(Const(e.value), ())  # rule 11g
@@ -254,8 +271,9 @@ class Translator:
 
         if isinstance(s, A.SForIn):  # rule 15e
             a, i = fresh("A"), fresh("ix")
+            whole = isinstance(s.coll, A.EVar) and s.coll.name not in bound
             q = quals + (
-                Generator(PVar(a), self.E(s.coll, bound)),
+                Generator(PVar(a), Comp(StateRef(s.coll.name), ()) if whole else self.E(s.coll, bound)),
                 Generator(PTuple((PVar(i), PVar(s.var))), Var(a)),
             )
             return self.S(s.body, q, bound | {a, i, s.var})
@@ -323,6 +341,12 @@ class Translator:
                 f"{name} {monoid}= with a tuple or record value: only += "
                 f"(componentwise, tuples only) and argmin= combine tuples or records"
             )
+        if monoid == "argmin" and not (
+            isinstance(elem, A.TTuple) and len(elem.items) == 2
+            or elem is None and isinstance(expr, A.ETuple) and len(expr.items) == 2
+        ):
+            # the engines keep the pair (index, value) with the least value
+            raise TranslationError(f"{name} argmin= needs pairs (index, value)")
         v, w = fresh("v"), fresh("w")
         ident = identity(monoid, elem)
 

@@ -1,7 +1,8 @@
 """Sibling statements over one source run as one scan (``plan.fuse_code``):
-which statements are grouped, that programs with nothing to group compile
-as before, and that the interpreter, seq and Spark agree on grouped
-programs, edge cases included."""
+which statements are grouped, that programs with nothing to fuse compile
+as before, which range fills and keyless joins the pass marks, and that
+the interpreter, seq and Spark agree on grouped programs, edge cases
+included."""
 import itertools
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from repro.core import ast as A
 from repro.core import comprehension
 from repro.core.pipeline import compile_program
-from repro.core.translate import TGroup, TWhile
+from repro.core.translate import TGroup, TWhile, statements
 from repro.programs.suite import BY_NAME, PROGRAMS, build_envs
 from tests.test_backend_sql import _same, three_engines
 
@@ -49,17 +50,39 @@ def test_no_fuse_leaves_every_statement_alone(prog):
     assert groups(_compiled(prog.name, fuse=False).code) == []
 
 
-@pytest.mark.parametrize("name", [
-    "PageRank", "KMeans", "Word Count", "Group-By",
-    "Matrix Addition", "Matrix Multiplication", "Matrix Factorization",
-])
-def test_programs_with_nothing_to_fuse_are_untouched(monkeypatch, name):
-    # the same fresh names on both sides, so the code compares as a whole
+def _both(monkeypatch, name) -> list:
+    """The code of a program compiled with and without ``fuse``, with the
+    same fresh names on both sides, so that it compares as a whole."""
     codes = []
     for fuse in (True, False):
         monkeypatch.setattr(comprehension, "_fresh_counter", itertools.count())
         codes.append(_compiled(name, fuse=fuse).code)
+    return codes
+
+
+@pytest.mark.parametrize("name", ["Word Count", "Group-By", "Matrix Addition"])
+def test_programs_with_nothing_to_fuse_are_untouched(monkeypatch, name):
+    codes = _both(monkeypatch, name)
     assert codes[0] == codes[1]
+
+
+@pytest.mark.parametrize("name,fills,broadcast", [
+    # the fill of C moves past P's to meet C's update; P's fill in the
+    # loop meets P's update
+    ("PageRank", [("P", 1, True), ("C", 2, True), ("P", 2, False)], []),
+    ("KMeans", [], ["closest"]),
+    ("Matrix Multiplication", [("R", 2, True)], []),
+    ("Matrix Factorization", [("pq", 2, True)], []),
+], ids=["PageRank", "KMeans", "Matrix Multiplication", "Matrix Factorization"])
+def test_fuse_lowers_range_fills_and_small_joins(monkeypatch, name, fills, broadcast):
+    # (destination, statements the fill stands for, fresh): 1 for a fill
+    # alone, 2 for a fill and the update after it
+    fused, plain = (list(statements(c)) for c in _both(monkeypatch, name))
+    marked = [st for st in fused if getattr(st, "fill", None) is not None]
+    assert [(st.name, 1 if st.fill == st.term.new else 2, st.fresh) for st in marked] == fills
+    assert [st.name for st in fused if getattr(st, "broadcast", False)] == broadcast
+    assert len(plain) - len(fused) == sum(n - 1 for _, n, _ in fills)
+    assert not any(getattr(st, "fill", None) or getattr(st, "broadcast", False) for st in plain)
 
 
 SCALARS = "var s: long = 0; var c: long = 0;"

@@ -153,8 +153,9 @@ def test_nested_duplicate_index_raises():
     ("KMeans", [("closest", True), ("avg", True), ("C", False)]),
 ])
 def test_fresh_merges_are_marked_at_compile_time(name, want):
+    # before fuse_code, which makes a range fill and its update one statement
     _, _, types = build_envs(BY_NAME[name], "tiny")
-    comp = compile_program(BY_NAME[name].source, types)
+    comp = compile_program(BY_NAME[name].source, types, fuse=False)
     merges = [(st.name, st.fresh) for st in statements(comp.code)
               if isinstance(st, TAssign) and isinstance(comp.types[st.name], A.TArray)]
     assert merges == want
