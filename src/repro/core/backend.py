@@ -20,16 +20,17 @@ with one aggregate per ``⊕/e`` reduction; the array merge ``⊲`` becomes
 a ``FULL OUTER JOIN`` with ``coalesce`` (paper: "on Spark, ⊲ can be
 implemented as a coGroup"). The steps before the first generator run on
 the driver with the sequential engine's evaluator. Scalar state enters
-the query as literals typed as ``F.lit`` would type them.
+the query as literals, every integer a BIGINT: the loop language's one
+integer type is the 64-bit ``long``.
 
 Every array assignment is a merge ``X ⊲ comp`` (rules 14c and 15a),
 and ``_merge_sql`` is its one lowering: the rows of ``comp``, then
 ``X FULL OUTER JOIN`` them on the key, with the rows' value where a row
 is present. An incremental update (rule 15a: ``X ⊲ {(k, w ⊕ ⊕/v) | …,
 group by k, w <~ X[k] ?? id}``) is the merge whose plan ends in the
-lookup of ``X`` at the head's key: that lookup of the pre-update value
-``w`` reads the old side of the same join instead of joining ``X`` a
-second time. A merge into a just-initialised array (a ``fresh``
+lookup of ``X`` at the head's key (``plan.own_lookup``): that lookup of
+the pre-update value ``w`` reads the old side of the same join instead
+of joining ``X`` a second time. A merge into a just-initialised array (a ``fresh``
 assignment, ``translate.mark_fresh``) is the new bag alone, with no
 join; every lookup into it misses.
 
@@ -40,8 +41,9 @@ scans.
 Two lowerings follow hand-written programs where ``plan.fuse_code``
 marks them. A range fill ``X ⊲ {(i…, c) | i <- range…}``
 (``TAssign.fill``) is no join: the rows of ``X`` outside the ranges
-``UNION ALL`` one ``range`` over their product, and with the update
-after it, ``range LEFT JOIN`` the update's groups (``_fill_sql``). A join
+``UNION ALL`` one ``range`` over their product (``_fill_sql``). An
+update after it merges into the fill's rows instead of into ``X``:
+``range LEFT JOIN`` its groups, with no ``FULL OUTER JOIN``. A join
 without key equalities whose source ``inRange`` bounds to a few rows
 (``TAssign.broadcast``) broadcasts that source.
 
@@ -52,7 +54,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import replace
 
 from pyspark.errors import AnalysisException
 from pyspark.sql import DataFrame, Row, SparkSession
@@ -80,12 +81,13 @@ from .plan import (
     GroupBy,
     Join,
     Let,
-    Lookup,
+    Plan,
     Scan,
     Total,
     compile_term,
     exec_code,
     join_bounds,
+    own_lookup,
     plan,
     range_fill,
     run_driver,
@@ -159,18 +161,17 @@ def _struct(fields) -> str:
 
 
 def _lit(v) -> str:
-    """SQL literal of a Python value, typed as ``F.lit`` types it: ints
-    are INT inside the int32 range and BIGINT outside it, floats DOUBLE;
-    tuples become structs with fields ``_1.._n`` and dicts (records)
-    structs with their own field names."""
+    """SQL literal of a Python value: ints are BIGINT, the loop
+    language's one integer type being the 64-bit ``long`` (an INT would
+    make Spark multiply two of them in 32 bits), floats DOUBLE; tuples
+    become structs with fields ``_1.._n`` and dicts (records) structs
+    with their own field names."""
     if v is None:
         return "NULL"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, numbers.Integral):
-        v = int(v)
-        s = str(v) if -(2**31) <= v < 2**31 else f"{v}L"
-        return f"({s})" if v < 0 else s
+        return f"({v}L)" if v < 0 else f"{v}L"
     if isinstance(v, numbers.Real):
         v = float(v)
         if math.isnan(v):
@@ -392,27 +393,15 @@ def _agg_items(aggs: tuple, env: dict) -> list:
     return [f"{_agg_sql(m, to_sql(e, env))} AS {_id(n)}" for n, m, e in aggs]
 
 
-def _relation(comp: Comp, env: dict, qb: _Query, own: str = ""):
-    """Plan a comprehension (see ``plan``) and run its driver steps:
-    ``(frontier, steps, head, b)``, the relation of the plan's source,
-    the steps after it, the head and the driver's bindings; the
-    frontier is None when it has no generators. None for an empty
-    bag. A comprehension without generators whose driver steps end in
-    the lookup of the array ``own`` at the head's key (an update of
-    ``own``, rule 15a) keeps that lookup as its one step, for its merge
-    to read from the old side of the join."""
-    p = plan(comp)
-    look = p.driver[-1:]
-    if not (not p.steps and look and isinstance(look[0], Lookup) and look[0].array == own
-            and look[0].key == p.head.items[:-1]):
-        look = ()
-    b = run_driver(replace(p, driver=p.driver[:len(p.driver) - len(look)]), env,
-                   lambda a, k, d: _lookup(qb.spark, env, a, k, d))
+def _relation(p: Plan, env: dict, qb: _Query):
+    """Run a plan's driver steps: ``(frontier, steps, head, b)``, the
+    relation of the plan's source, the steps after it, the head and the
+    driver's bindings; the frontier is None when it has no generators.
+    None for an empty bag."""
+    b = run_driver(p, env, lambda a, k, d: _lookup(qb.spark, env, a, k, d))
     if b is None:
         return None
-    if not p.steps:
-        return None, look, p.head, b
-    return _lower(p.steps[:1], env, qb, b), p.steps[1:], p.head, b
+    return (_lower(p.steps[:1], env, qb, b) if p.steps else None), p.steps[1:], p.head, b
 
 
 def _lower(steps: tuple, env: dict, qb: _Query, b: dict) -> _Frontier:
@@ -484,31 +473,34 @@ def _array(env: dict, name: str) -> DataFrame:
     return df
 
 
-def _merge_sql(name: str, t: A.TArray, fresh: bool, fr: _Frontier, steps: tuple, head,
-               env: dict, qb: _Query, b: dict) -> str:
-    """``X ⊲ rows`` for the array ``X`` named ``name``, of type ``t``:
-    the rows are the relation ``fr`` extended by the plan ``steps``,
-    shaped by ``head`` (keys, then the value). It is ``X FULL OUTER JOIN
-    rows`` on the key, with the rows' value where a row is present, else
-    ``X._v``. If the steps end in rule 15a's lookup ``w <~ X[k] ?? d``
-    at the head's key ``k`` (an update), the lookup is no step of its
-    own: ``w`` is ``coalesce(X._v, d)`` on the join's old side. Into a
-    ``fresh`` (empty) ``X`` it is the rows alone, and ``w`` is ``d``."""
-    look = steps[-1] if steps else None
-    if isinstance(look, Lookup) and look.array == name and look.key == head.items[:-1]:
-        steps = steps[:-1]
-    else:
-        look = None
+def _merge_sql(t: A.TArray, old, fr: _Frontier, steps: tuple, head, look, env: dict,
+               qb: _Query, b: dict) -> str:
+    """``X ⊲ rows`` for an array ``X`` of type ``t``: the rows are the
+    relation ``fr`` extended by the plan ``steps``, shaped by ``head``
+    (keys, then the value), and ``old`` is the old side:
+
+    * ``X`` (a DataFrame): ``rows FULL OUTER JOIN X`` on the key, the
+      keys coalesced;
+    * None, when ``X`` is ``fresh`` (empty): the rows alone;
+    * the SQL text of a range fill's rows, which hold every key of the
+      rows (``plan.fills_before``): ``fill LEFT JOIN rows``, keyed by the
+      fill's own key columns, so that its partitioning carries over.
+
+    The value is the rows' where a row is present, else the old one. For
+    an update, ``look`` is its lookup ``w <~ X[k] ?? d`` (rule 15a,
+    ``plan.own_lookup``): ``w`` is ``coalesce(old._v, d)``, and ``d``
+    over no old side."""
     _apply(fr, steps, env, qb, b)
     default = _lit(look.default) if look else ""
-    if fresh:
+    if old is None:
         types = _col_types(t)
         if look:
             fr.select(qb, fr.with_cols({look.var: f"coalesce(CAST(NULL AS {types[-1]}), {default})"}))
         return _fresh_sql(types, [to_sql(x, env) for x in head.items], fr.src)
     tag = look.var if look else ""
     ocols = _key_cols(t.ndims, f"_lk_{tag}_", f"_lv_{tag}")
-    scan = qb.scan(_array(env, name), ocols)
+    filled = isinstance(old, str)
+    scan = f"({old}) AS {qb.alias()}({', '.join(map(_id, ocols))})" if filled else qb.scan(old, ocols)
     ocols = list(map(_id, ocols))
     hit = _id(f"_hit_{tag}")
     # a key that is no column of the rows (a constant or an expression)
@@ -520,12 +512,14 @@ def _merge_sql(name: str, t: A.TArray, fresh: bool, fr: _Frontier, steps: tuple,
     exprs = [_id(f"_n{j}") if f"_n{j}" in keys else to_sql(k, env)
              for j, k in enumerate(head.items[:-1])] + [to_sql(head.items[-1], env)]
     on = " AND ".join(f"({e} = {c})" for e, c in zip(exprs[:-1], ocols))
+    # a fill holds every key: it is the join's left side
+    fr.src, join = (scan, f"LEFT JOIN {fr.src}") if filled else (fr.src, f"FULL OUTER JOIN {scan}")
     fr.select(qb, [_id(c) for c in fr.cols] + [hit, *ocols] + (
         [f"coalesce({ocols[-1]}, {default}) AS {_id(look.var)}"] if look else []
-    ), f" FULL OUTER JOIN {scan} ON {on}")
+    ), f" {join} ON {on}")
     # the value only where a row is: over no row, a tuple of its columns
     # would be a struct of NULLs, not NULL
-    items = [f"coalesce({e}, {c})" for e, c in zip(exprs, ocols[:-1])] + [
+    items = [c if filled else f"coalesce({e}, {c})" for e, c in zip(exprs, ocols[:-1])] + [
         f"coalesce(CASE WHEN {hit} THEN {exprs[-1]} END, {ocols[-1]})"
     ]
     return "SELECT " + ", ".join(
@@ -558,28 +552,17 @@ def _fill_sql(st, t: A.TArray, env: dict, qb: _Query) -> str:
     (``TAssign.fill``), with no join between ``V`` and the fill: the rows
     of ``V`` outside the fill's ranges (none if ``V`` is ``fresh``)
     ``UNION ALL`` the fill's rows, one ``range`` over the product of its
-    ranges (``_range_rows``). If ``e`` is an update (rule 15a,
-    ``plan.fills_before``), the fill's rows are ``range LEFT JOIN`` the
-    update's groups on the key instead: its lookup ``w`` of the
-    pre-update value is the fill's value, and a key with no group keeps
-    that value."""
+    ranges (``_range_rows``), in ``V``'s column types. If ``e`` is an
+    update (rule 15a, ``plan.fills_before``), those rows are the old
+    side of its merge instead of ``V``."""
     fill = range_fill(st.fill)
     bounds = [tuple(int(compile_term(x, env)({})) for x in lh) for lh in fill.bounds]
-    pair = st.fill != st.term.new
-    # a pair's indexes get names of their own, apart from the update's
-    names = [f"_f{j + 1}" for j in range(len(fill.keys))] if pair else list(fill.keys)
-    value = to_sql(subst(fill.value, {k: Var(n) for k, n in zip(fill.keys, names)}), env)
-    fr = _range_rows(names, bounds, qb)
-    if pair:
-        upd, steps, head, b = _relation(st.term.new, env, qb)
-        *steps, look = steps
-        _apply(upd, tuple(steps), env, qb, b)
-        upd.select(qb, [_id(c) for c in upd.cols] + ["true AS `_hit`"])
-        on = " AND ".join(f"({_id(n)} = {to_sql(k, env)})" for n, k in zip(names, head.items[:-1]))
-        fr.select(qb, [_id(c) for c in names + upd.cols + ["_hit"]] + [f"{value} AS {_id(look.var)}"],
-                  f" LEFT JOIN {upd.src} ON {on}")
-        value = f"CASE WHEN `_hit` THEN {to_sql(head.items[-1], env)} ELSE {_id(look.var)} END"
-    rows = _fresh_sql(_col_types(t), [_id(n) for n in names] + [value], fr.src)
+    fr = _range_rows(list(fill.keys), bounds, qb)
+    rows = _fresh_sql(_col_types(t), [_id(k) for k in fill.keys] + [to_sql(fill.value, env)], fr.src)
+    if st.fill != st.term.new:
+        p, look = own_lookup(plan(st.term.new), st.name)
+        upd, steps, head, b = _relation(p, env, qb)
+        rows = _merge_sql(t, rows, upd, steps, head, look, env, qb, b)
     if st.fresh:
         return rows
     inside = " AND ".join(f"({_id(c)} >= {_lit(lo)} AND {_id(c)} <= {_lit(hi)})"
@@ -687,6 +670,7 @@ def _group_arrays(gp, stmts, env: dict, spark: SparkSession, types: dict) -> dic
     grouped = qb.run(sql, what).localCheckpoint(eager=True)
     out = {}
     for i, (st, m) in enumerate(zip(stmts, gp.members)):
+        m, look = own_lookup(m, st.name)
         _, (g, *rest) = _own_conds(m)
         mq = _Query(spark)
         split = _Frontier(mq.scan(grouped, grouped.columns), list(grouped.columns))
@@ -694,7 +678,8 @@ def _group_arrays(gp, stmts, env: dict, spark: SparkSession, types: dict) -> dic
             f"{_id(f'_g{i}_a{j}')} AS {_id(n)}" for j, (n, _, _) in enumerate(g.aggs)
         ], f" WHERE `_tag` = {i}")
         split.cols = list(g.names) + [n for n, _, _ in g.aggs]
-        sql = _merge_sql(st.name, types[st.name], st.fresh, split, tuple(rest), m.head, env, mq, {})
+        old = None if st.fresh else _array(env, st.name)
+        sql = _merge_sql(types[st.name], old, split, tuple(rest), m.head, look, env, mq, {})
         out[st.name] = mq.run(sql, show(st.term))
     return out
 
@@ -715,7 +700,8 @@ class _Spark:
         qb = _Query(self.spark, st.broadcast)
         if st.fill is not None:
             return qb.run(_fill_sql(st, t, env, qb), show(st.term))
-        res = _relation(st.term.new, env, qb, st.name)
+        p, look = own_lookup(plan(st.term.new), st.name)
+        res = _relation(p, env, qb)
         if res is None:
             return env[st.name]  # X ⊲ ∅ = X
         fr, steps, head, b = res
@@ -723,15 +709,14 @@ class _Spark:
             # one row, its keys and value computed on the driver; an
             # update's value but for its lookup w, which the merge reads
             fr = _Frontier(f"range(1) AS {qb.alias()}", [])
-            keep = {lk.var for lk in steps}
-            keys = tuple(Const(compile_term(x, env)(b)) for x in head.items[:-1])
-            head = TupleT(keys + (_on_driver(head.items[-1], keep, env, b),))
-            steps = tuple(replace(lk, key=keys) for lk in steps)
-        return qb.run(_merge_sql(st.name, t, st.fresh, fr, steps, head, env, qb, b), show(st.term))
+            head = TupleT(tuple(Const(compile_term(x, env)(b)) for x in head.items[:-1])
+                          + (_on_driver(head.items[-1], {look.var} if look else set(), env, b),))
+        old = None if st.fresh else _array(env, st.name)
+        return qb.run(_merge_sql(t, old, fr, steps, head, look, env, qb, b), show(st.term))
 
     def scalar(self, comp: Comp, env: dict, broadcast: bool = False) -> list:
         qb = _Query(self.spark, broadcast)
-        res = _relation(comp, env, qb)
+        res = _relation(plan(comp), env, qb)
         if res is None:
             return []
         fr, steps, head, b = res

@@ -337,6 +337,19 @@ def range_fill(comp) -> Optional[Fill]:
     return Fill(tuple(names), tuple(ranges[n] for n in names), value)
 
 
+def own_lookup(p: Plan, name: str) -> tuple:
+    """``(p without it, the lookup)`` if ``p`` ends in rule 15a's lookup
+    ``w <~ X[k] ?? d`` of the array ``name`` at the head's key ``k``, as
+    its last step or, without generators, its last driver step; else
+    ``(p, None)``. Such a plan is an update of ``name``, whose merge
+    reads ``w`` from its old side instead of looking it up."""
+    look = (p.steps or p.driver or (None,))[-1]
+    if not (isinstance(look, Lookup) and look.array == name and isinstance(p.head, TupleT)
+            and look.key == p.head.items[:-1]):
+        return p, None
+    return (replace(p, steps=p.steps[:-1]) if p.steps else replace(p, driver=p.driver[:-1])), look
+
+
 def fills_before(fill: Fill, name: str, comp: Comp) -> bool:
     """Whether the update ``comp`` (rule 15a) of the array ``name`` can
     be lowered with a range ``fill`` of that array that comes before
@@ -345,12 +358,12 @@ def fills_before(fill: Fill, name: str, comp: Comp) -> bool:
     groups by, so every key it updates was filled."""
     if state_refs(comp).count(name) != 1:
         return False
-    p = plan(comp)
-    if p.driver or not p.steps or not isinstance(look := p.steps[-1], Lookup):
+    p, look = own_lookup(plan(comp), name)
+    if look is None or p.driver or not p.steps:
         return False
     keys = p.head.items[:-1]
     groups = [i for i, st in enumerate(p.steps) if isinstance(st, GroupBy)]
-    if look.array != name or look.key != keys or len(keys) != len(fill.keys) or len(groups) != 1:
+    if len(keys) != len(fill.keys) or len(groups) != 1:
         return False
     g, before = p.steps[groups[0]], p.steps[:groups[0]]
     conds = [c for st in before if isinstance(st, (Filter, Join)) for c in st.conds]

@@ -106,6 +106,18 @@ def test_grouped_long_product_stays_long(spark):
         assert _same(env["P"], {0: 8, 1: 3})
 
 
+@pytest.mark.parametrize("src,env,types,out,want", [
+    ("var a: long = 100000; var b: long = 100000; var s: long = 0; for v in V do s += a * b;",
+     {"V": {0: 1, 1: 2}}, {"V": VEC_L}, "s", 20_000_000_000),
+    ("var a: long = 100000; var W: vector[long] = vector(); for i = 0, 1 do W[i] := a * a;",
+     {}, {}, "W", {0: 10_000_000_000, 1: 10_000_000_000}),
+], ids=["scalar", "array"])
+def test_long_state_in_the_int32_range_multiplies_in_64_bits(spark, src, env, types, out, want):
+    # an integer literal is a BIGINT: two INTs would overflow in 32 bits
+    for res in three_engines(spark, src, env, types):
+        assert _same(res[out], want)
+
+
 @pytest.mark.parametrize("V,d,t", [
     ({0: -4, 1: -3, 2: -1, 3: 2, 4: 7}, 3, VEC_L),
     ({0: 7, 1: -7, 2: 6, 3: -2, 4: 1}, -3, VEC_L),

@@ -14,6 +14,7 @@ from repro.core.translate import TAssign, TranslationError, statements
 from repro.programs.suite import BY_NAME, build_envs
 from tests.test_backend_sql import _same, sql_calls, three_engines  # noqa: F401  (a fixture)
 from tests.test_handwritten import _plan_shape
+from tests.test_programs_e2e import same_schema
 
 L, D, B = A.TBasic("long"), A.TBasic("double"), A.TBasic("bool")
 NAN = float("nan")
@@ -33,17 +34,30 @@ def _marks(src, types):
 # --------------------------------------------------------- plan shapes
 @pytest.fixture(scope="module")
 def shapes(spark):
-    """``(program, output, fuse) -> (exchanges, joins, physical plan)``."""
+    """``(program, output, fuse) -> (exchanges, joins, physical plan,
+    whether the output has its declared schema)``."""
     out = {}
-    for name in ("PageRank", "KMeans", "Matrix Multiplication", "Matrix Factorization"):
+    for name in SHAPE_PROGRAMS:
         prog = BY_NAME[name]
         env, _, types = build_envs(prog, "tiny", spark)
         for fuse in (True, False):
-            res = run_program(compile_program(prog.source, types, fuse=fuse), env, spark)
+            compiled = compile_program(prog.source, types, fuse=fuse)
+            res = run_program(compiled, env, spark)
             for o in prog.outputs:
                 plan = res[o].select("*")._jdf.queryExecution().executedPlan().toString()
-                out[name, o, fuse] = (*_plan_shape(res[o]), plan)
+                out[name, o, fuse] = (*_plan_shape(res[o]), plan,
+                                      same_schema(res[o], compiled.types[o]))
     return out
+
+
+SHAPE_PROGRAMS = ("PageRank", "KMeans", "Matrix Multiplication", "Matrix Factorization")
+
+
+@pytest.mark.parametrize("fuse", [True, False])
+@pytest.mark.parametrize("name", SHAPE_PROGRAMS)
+def test_outputs_have_their_declared_schema(shapes, name, fuse):
+    for o in BY_NAME[name].outputs:
+        assert shapes[name, o, fuse][3], (name, o)
 
 
 @pytest.mark.parametrize("name,out,fused,plain", [
@@ -110,6 +124,27 @@ FILL_CASES = {
         {"R": {(0, 0): 5, (1, 1): 9, (2, 5): 4}}, {"R": A.TArray(2, L)},
         {(0, 0): 5, (1, 0): 1, (1, 1): 0, (2, 0): 2, (2, 1): 1, (2, 5): 4},
         [("R", False, False)] * 2),
+    # a tuple-valued fill, then +=: 3 has no update, where the sum's tuple
+    # would be a struct of NULLs, and keeps the fill's pair
+    "tuple-fill-plus": (
+        "var T: vector[(long, double)] = vector(); for i = 0, 3 do T[i] := (1, 0.5); "
+        "for i = 0, 3 do for j = 0, 2 do T[i] += (j, D[i, j]);",
+        {"D": {(0, 1): 7.0, (1, 0): 1.0, (1, 2): 2.0, (2, 2): 5.0}}, {"D": MAT_D},
+        {0: (2, 7.5), 1: (3, 3.5), 2: (3, 5.5), 3: (1, 0.5)}, [("T", True, False)]),
+    # a tuple-valued fill, then argmin=: a NaN candidate and a tie keep the
+    # fill's pair, and so do 3, which has no candidate, and 0, a worse one
+    "tuple-fill-argmin": (
+        "var C: vector[(long, double)] = vector(); for i = 0, 3 do C[i] := (9, 5.0); "
+        "for i = 0, 3 do for j = 0, 2 do C[i] argmin= (j, D[i, j]);",
+        {"D": {(0, 1): 7.0, (1, 0): 1.0, (1, 2): 2.0, (2, 1): NAN, (2, 2): 5.0}}, {"D": MAT_D},
+        {0: (9, 5.0), 1: (0, 1.0), 2: (9, 5.0), 3: (9, 5.0)}, [("C", True, False)]),
+    # a fresh vector[double] filled with a long literal, then updated: the
+    # fill's rows keep the declared DOUBLE
+    "long-literal-fill": (
+        "var X: vector[double] = vector(); for i = 0, 2 do X[i] := 1; "
+        "for i = 0, 2 do for j = 0, 2 do X[i] += F[i, j];",
+        {"F": {(0, 0): 0.5, (1, 2): 2.0, (2, 1): -1.0}}, {"F": MAT_D},
+        {0: 1.5, 1: 3.0, 2: 0.0}, [("X", True, False)]),
 }
 
 
@@ -119,6 +154,19 @@ def test_range_fills_agree(spark, case):
     assert _marks(src, types) == marks
     for out in three_engines(spark, src, env, types):
         assert _same(out[marks[0][0]], want)
+
+
+@pytest.mark.parametrize("src,env,types", [c[:3] for c in FILL_CASES.values()] + [
+    # a long literal into a vector[double], alone: the interpreter keeps the
+    # ints, so this case is no FILL_CASE
+    ("var X: vector[double] = vector(); for i = 0, 2 do X[i] := 1;", {}, {}),
+], ids=[*FILL_CASES, "long-literal-fill-alone"])
+def test_range_fills_keep_the_declared_schema(spark, src, env, types):
+    compiled = compile_program(src, types)
+    out = run_program(compiled, {k: dict_to_df(spark, v, types[k]) for k, v in env.items()}, spark)
+    for name, t in compiled.types.items():
+        if isinstance(t, A.TArray):
+            assert same_schema(out[name], t), (name, out[name].schema)
 
 
 def test_fill_and_update_is_one_left_join(spark, sql_calls):  # noqa: F811

@@ -19,7 +19,7 @@ from repro.core.comprehension import (
     Var,
 )
 from repro.core.convert import df_to_dict, dict_to_df
-from repro.core.plan import Filter, GroupBy, Join, Let, Scan, plan
+from repro.core.plan import Filter, GroupBy, Join, Let, Lookup, Plan, Scan, own_lookup, plan
 from repro.core.seq_backend import run_code_seq
 from repro.core.translate import TAssign, TInit
 
@@ -59,6 +59,25 @@ def test_generator_free_reduction_is_its_expression():
     )))
     assert p.steps == () and p.head == Var("x")
     assert p.driver == (Let(("x",), Const(3)), Let(("k",), TupleT(())))
+
+
+def test_own_lookup_is_rule_15a_lookup_of_the_destination_at_the_head_key():
+    look = Lookup("w", "X", (Var("k"),), 0.0)
+    head = TupleT((Var("k"), BinOp("+", Var("w"), Var("_agg0"))))
+    group = GroupBy(("k",), (Var("i"),), (("_agg0", "+", Var("v")),))
+    # the last step of an update with generators
+    p = Plan((), (Scan(("i", "v"), "V"), group, look), head)
+    assert own_lookup(p, "X") == (Plan((), (Scan(("i", "v"), "V"), group), head), look)
+    # the last driver step of one without
+    let = Let(("k",), Const(3))
+    p = Plan((let, look), (), head)
+    assert own_lookup(p, "X") == (Plan((let,), (), head), look)
+    # another array, another key, or not the last step: none
+    assert own_lookup(p, "Y") == (p, None)
+    other = Plan((let, Lookup("w", "X", (Var("i"),), 0.0)), (), head)
+    assert own_lookup(other, "X") == (other, None)
+    early = Plan((look, let), (), head)
+    assert own_lookup(early, "X") == (early, None)
 
 
 def test_condition_on_a_reduction_filters_groups_on_both_engines(spark):

@@ -4,6 +4,7 @@ with the literal loop interpreter (the paper's Theorem A.1)."""
 import pytest
 
 from repro.core import ast as A
+from repro.core.backend import array_schema
 from repro.core.convert import approx_dict_equal, df_to_dict, dict_to_df
 from repro.core.interp import interpret
 from repro.core.pipeline import compile_program, run_program
@@ -27,9 +28,16 @@ def results(spark):
     return out
 
 
+def same_schema(df, t: A.TArray) -> bool:
+    """Whether Spark's value of an array has the columns and column types
+    of its declared type ``t`` (nullability aside)."""
+    return df.schema.simpleString() == array_schema(t).simpleString()
+
+
 def _check(res, compiled, out):
     t = compiled.types.get(out)
     if isinstance(t, A.TArray):
+        assert same_schema(res["spark"][out], t), (out, res["spark"][out].schema)
         want = res["interp"][out]
         got_spark = df_to_dict(res["spark"][out], t.ndims)
         got_seq = res["seq"][out]
