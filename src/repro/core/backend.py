@@ -38,14 +38,24 @@ The plan applies conditions as soon as all their variables are bound,
 which lets the Section 3.6 ``inRange`` predicates land on the array
 scans.
 
-Two lowerings follow hand-written programs where ``plan.fuse_code``
-marks them. A range fill ``X ⊲ {(i…, c) | i <- range…}``
-(``TAssign.fill``) is no join: the rows of ``X`` outside the ranges
-``UNION ALL`` one ``range`` over their product (``_fill_sql``). An
-update after it merges into the fill's rows instead of into ``X``:
-``range LEFT JOIN`` its groups, with no ``FULL OUTER JOIN``. A join
-without key equalities whose source ``inRange`` bounds to a few rows
-(``TAssign.broadcast``) broadcasts that source.
+Some lowerings follow hand-written programs where ``plan.fuse_code``
+marks them:
+
+* a range fill ``X ⊲ {(i…, c) | i <- range…}`` (``TAssign.fill``) is
+  no join: the rows of ``X`` outside the ranges ``UNION ALL`` one
+  ``range`` over their product (``_fill_sql``), or that ``range`` alone
+  where ``X`` holds no key outside it (``TAssign.inside``). An update
+  after it merges into the fill's rows instead of into ``X``: ``range
+  LEFT JOIN`` its groups, with no ``FULL OUTER JOIN``;
+* a join without key equalities whose source ``inRange`` bounds to a
+  few rows (``TAssign.broadcast``) broadcasts that source;
+* a statement may read another's groups instead of its array
+  (``TAssign.reads``): a join of a filled array inside the fill is a
+  ``LEFT JOIN`` of the update's groups, the fill's value where a key
+  has none (``_filled_join``); a scan of ``A`` joined by ``A``'s key to
+  the fresh group-by just before, which grouped ``A`` by that key, is
+  that group-by's groups, each carrying its element of ``A``
+  (``_carried``).
 
 ``plan.exec_code`` runs the statements; at a ``while`` loop's
 iteration boundary this engine checkpoints the loop-carried arrays.
@@ -54,6 +64,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from typing import Optional
 
 from pyspark.errors import AnalysisException
 from pyspark.sql import DataFrame, Row, SparkSession
@@ -84,9 +95,12 @@ from .plan import (
     Plan,
     Scan,
     Total,
+    carried_join,
     compile_term,
     exec_code,
+    fill_keys,
     join_bounds,
+    member_comp,
     own_lookup,
     plan,
     range_fill,
@@ -305,12 +319,17 @@ def _agg_sql(monoid: str, e: str, filt: str = "") -> str:
 
 class _Query:
     """One Spark SQL query under construction: the arrays it reads,
-    fresh subquery aliases, and whether a join without key equalities
-    may broadcast a small source (``TAssign.broadcast``)."""
+    fresh subquery aliases, whether a join without key equalities may
+    broadcast a small source (``TAssign.broadcast``), and the
+    assignments whose groups it may read instead of their arrays
+    (``TAssign.reads``), with the program's ``types``."""
 
-    def __init__(self, spark: SparkSession, broadcast: bool = False):
+    def __init__(self, spark: SparkSession, broadcast: bool = False, reads: tuple = (),
+                 types: Optional[dict] = None):
         self.spark = spark
         self.broadcast = broadcast
+        self.reads = {w.name: w for w in reads}
+        self.types = types or {}
         self.views: dict = {}  # id(DataFrame) -> (view name, DataFrame)
         self.n = 0
 
@@ -361,11 +380,12 @@ def _lookup(spark: SparkSession, env: dict, array: str, key: tuple, default):
 # ------------------------------------------------- comprehension compile
 class _Frontier:
     """Relation under construction: a FROM item and its column names,
-    which are the bound variables."""
+    which are the bound variables, and the plan steps it has lowered."""
 
-    def __init__(self, src: str, cols: list):
+    def __init__(self, src: str, cols: list, steps: Optional[list] = None):
         self.src = src
         self.cols = cols
+        self.steps = steps or []
 
     def select(self, qb: _Query, items: list, tail: str = "", hint: str = "") -> None:
         self.src = f"(SELECT {hint}{', '.join(items)} FROM {self.src}{tail}) AS {qb.alias()}"
@@ -397,18 +417,57 @@ def _relation(p: Plan, env: dict, qb: _Query):
     """Run a plan's driver steps: ``(frontier, steps, head, b)``, the
     relation of the plan's source, the steps after it, the head and the
     driver's bindings; the frontier is None when it has no generators.
-    None for an empty bag."""
+    None for an empty bag. A plan that scans an array and joins it to
+    the group-by before it by that array's key (``plan.carried_join``)
+    reads the groups instead (``_carried``)."""
     b = run_driver(p, env, lambda a, k, d: _lookup(qb.spark, env, a, k, d))
     if b is None:
         return None
+    for w in qb.reads.values():
+        if w.fill is None:
+            pw, look = own_lookup(plan(member_comp(w)), w.name)
+            i = carried_join(p, pw, w.name)
+            if i is not None:
+                fr = _carried(pw, look, w.name, p.steps[0].names + p.steps[i].source.names, env, qb)
+                return fr, p.steps[1:i] + p.steps[i + 1:], p.head, b
     return (_lower(p.steps[:1], env, qb, b) if p.steps else None), p.steps[1:], p.head, b
 
 
-def _lower(steps: tuple, env: dict, qb: _Query, b: dict) -> _Frontier:
+def _lower(steps: tuple, env: dict, qb: _Query, b: dict, carry: Optional[dict] = None) -> _Frontier:
     """The relation of plan steps that start with their source; ``b``
-    holds the driver's bindings."""
-    fr = _Frontier(_source_sql(steps[0], env, qb, b), list(steps[0].names))
-    _apply(fr, steps[1:], env, qb, b)
+    holds the driver's bindings (``carry``: see ``_apply``)."""
+    fr = _Frontier(_source_sql(steps[0], env, qb, b), list(steps[0].names), [steps[0]])
+    _apply(fr, steps[1:], env, qb, b, carry)
+    return fr
+
+
+def _carried(pw: Plan, look, name: str, names: tuple, env: dict, qb: _Query) -> _Frontier:
+    """The groups of the fresh update ``pw`` of the array ``X`` called
+    ``name`` (its lookup ``look`` missing), as the relation ``(A's key,
+    A's value, X's key, X's value)`` named ``names`` that a scan of
+    ``A`` joined to ``X`` by that key gives (``plan.carried_join``):
+    ``pw`` groups by ``A``'s key, so each group carries its one element
+    of ``A``, a struct field by field, and whether it is NULL: a struct
+    aggregate would make Spark sort the groups instead of hashing them.
+    X's columns have the types ``_fresh_sql`` gives them."""
+    types, v = _col_types(qb.types[name]), _id(pw.steps[0].names[-1])
+    elem = spark_type(qb.types[pw.steps[0].array].elem)
+    if isinstance(elem, T.StructType):
+        carry = {f"_c{j}": f"{v}.{_id(f.name)}" for j, f in enumerate(elem.fields)}
+        carry["_cn"] = f"{v} IS NULL"
+        item = f"CASE WHEN NOT `_cn` THEN {_struct((f.name, _id(f'_c{j}')) for j, f in enumerate(elem.fields))} END"
+    else:
+        carry, item = {"_c": v}, "`_c`"
+    fr = _lower(pw.steps, env, qb, {}, carry)
+    if look:
+        fr.select(qb, fr.with_cols({look.var: f"coalesce(CAST(NULL AS {types[-1]}), {_lit(look.default)})"}))
+    *keys, value = _typed(types, [to_sql(x, env) for x in pw.head.items])
+    n = len(keys)
+    a_names, x_names = names[:n + 1], names[n + 1:]
+    fr.select(qb, [f"{k} AS {_id(c)}" for k, c in zip(keys, a_names)] + [f"{item} AS {_id(a_names[-1])}"]
+              + [f"{k} AS {_id(c)}" for k, c in zip(keys, x_names)]
+              + [f"{value} AS {_id(x_names[-1])}"])
+    fr.cols, fr.steps = list(names), []
     return fr
 
 
@@ -423,11 +482,22 @@ def _small(join: Join, env: dict, b: dict) -> bool:
     return math.prod(max(n, 0) for n in sizes) <= BROADCAST_ROWS
 
 
-def _apply(fr: _Frontier, steps: tuple, env: dict, qb: _Query, b: dict) -> None:
+def _apply(fr: _Frontier, steps: tuple, env: dict, qb: _Query, b: dict,
+           carry: Optional[dict] = None) -> None:
     """Extend the relation ``fr`` by plan steps; if ``qb.broadcast``, a
-    join without key equalities broadcasts a small source (``_small``)."""
+    join without key equalities broadcasts a small source (``_small``).
+    A join that reads a filled array of ``qb.reads`` inside its fill
+    (``plan.fill_keys``) joins the update's groups instead
+    (``_filled_join``). A group-by adds the columns ``carry`` names,
+    each an expression whose value is the same in every row of a
+    group."""
+    carry = carry or {}
     for st in steps:
-        if isinstance(st, Join):
+        filled = _reads_fill(st, fr.steps, qb)
+        fr.steps.append(st)
+        if filled:
+            _filled_join(fr, st.source.names, *filled, env, qb)
+        elif isinstance(st, Join):
             g = _source_sql(st.source, env, qb, b)
             # the source's alias is the last one _source_sql took
             hint = f"/*+ BROADCAST(`_q{qb.n}`) */ " if qb.broadcast and _small(st, env, b) else ""
@@ -449,8 +519,9 @@ def _apply(fr: _Frontier, steps: tuple, env: dict, qb: _Query, b: dict) -> None:
         elif isinstance(st, GroupBy):
             fr.select(qb, fr.with_cols({n: to_sql(k, env) for n, k in zip(st.names, st.keys)}))
             keys = ", ".join(map(_id, st.names))
-            fr.select(qb, [keys] + _agg_items(st.aggs, env), f" GROUP BY {keys}")
-            fr.cols = list(st.names) + [n for n, _, _ in st.aggs]
+            fr.select(qb, [keys] + _agg_items(st.aggs, env)
+                      + [f"any_value({e}) AS {_id(c)}" for c, e in carry.items()], f" GROUP BY {keys}")
+            fr.cols = list(st.names) + [n for n, _, _ in st.aggs] + list(carry)
         elif isinstance(st, Total):
             # rule 16 removed a constant-key group-by; no row over no rows
             fr.select(qb, _agg_items(st.aggs, env), " HAVING count(1) > 0")
@@ -459,6 +530,42 @@ def _apply(fr: _Frontier, steps: tuple, env: dict, qb: _Query, b: dict) -> None:
             # rule 15a's lookup of the pre-update value is lowered with
             # its merge, by _merge_sql
             raise BackendError(f"outer lookup outside an array update: {st.var}")
+
+
+def _reads_fill(st, before: list, qb: _Query):
+    """``(keys, w)`` if the plan step ``st`` joins an array that the
+    fill and update ``w`` of ``qb.reads`` assigned, at ``keys`` inside
+    the fill (``plan.fill_keys``); else None."""
+    w = qb.reads.get(st.source.array) if isinstance(st, Join) and isinstance(st.source, Scan) else None
+    keys = fill_keys(st, range_fill(w.fill), before) if w is not None and w.fill is not None else None
+    return None if keys is None else (keys, w)
+
+
+def _filled_join(fr: _Frontier, names: tuple, keys: tuple, w, env: dict, qb: _Query) -> None:
+    """Join ``fr`` to the array ``X`` that the fill and update ``w``
+    assigned, read at ``keys``, which lie inside the fill
+    (``plan.fill_keys``), binding ``names``: ``X`` there is the update's
+    group at the key where one is, else the fill. So ``fr LEFT JOIN``
+    the groups, the value coalesced with the fill's, as ``_merge_sql``
+    would merge them into the fill, with no scan of ``X``."""
+    fill = range_fill(w.fill)
+    vt = _col_types(qb.types[w.name])[-1]
+
+    def filled(at):  # the fill's value at the keys ``at``, typed as _fill_sql types it
+        v = subst(fill.value, dict(zip(fill.keys, at)))
+        return f"coalesce({to_sql(v, env)}, CAST(NULL AS {vt}))"
+
+    p, look = own_lookup(plan(w.term.new), w.name)
+    g = _lower(p.steps, env, qb, {})
+    *gk, gv = p.head.items
+    g.select(qb, g.with_cols({look.var: f"coalesce({filled(gk)}, {_lit(look.default)})"}))
+    cols = [_id(f"_gk_{w.name}_{j}") for j in range(len(gk))]
+    val = _id(f"_gv_{w.name}")
+    g.select(qb, [f"{to_sql(k, env)} AS {c}" for k, c in zip(gk, cols)] + [f"{to_sql(gv, env)} AS {val}"])
+    on = " AND ".join(f"({to_sql(k, env)} = {c})" for k, c in zip(keys, cols))
+    fr.select(qb, [_id(c) for c in fr.cols] + [f"{to_sql(k, env)} AS {_id(n)}" for k, n in zip(keys, names)]
+              + [f"coalesce({val}, {filled(keys)}) AS {_id(names[-1])}"], f" LEFT JOIN {g.src} ON {on}")
+    fr.cols = fr.cols + list(names)
 
 
 # -------------------------------------------------------------- merge
@@ -563,7 +670,7 @@ def _fill_sql(st, t: A.TArray, env: dict, qb: _Query) -> str:
         p, look = own_lookup(plan(st.term.new), st.name)
         upd, steps, head, b = _relation(p, env, qb)
         rows = _merge_sql(t, rows, upd, steps, head, look, env, qb, b)
-    if st.fresh:
+    if st.fresh or st.inside:
         return rows
     inside = " AND ".join(f"({_id(c)} >= {_lit(lo)} AND {_id(c)} <= {_lit(hi)})"
                           for c, (lo, hi) in zip(_key_cols(t.ndims), bounds))
@@ -579,15 +686,18 @@ def _on_driver(t, keep: set, env: dict, b: dict):
     return map_terms(t, lambda x: _on_driver(x, keep, env, b))
 
 
+def _typed(types: list, exprs: list) -> list:
+    """The columns ``exprs`` of a merge into a fresh array with column
+    types ``types``. Each keeps the type the full outer join against the
+    empty array gave it (the wider of the two), and Catalyst folds the
+    ``coalesce`` with NULL away."""
+    return [f"coalesce({e}, CAST(NULL AS {ty}))" for e, ty in zip(exprs, types)]
+
+
 def _fresh_sql(types: list, exprs: list, src: str) -> str:
     """The rows ``exprs`` over ``src`` as a merge into a fresh array with
-    column types ``types``. Each column keeps the type the full outer
-    join against the empty array gave it (the wider of the two), and
-    Catalyst folds the ``coalesce`` with NULL away."""
-    items = [
-        f"coalesce({e}, CAST(NULL AS {ty})) AS {_id(c)}"
-        for e, ty, c in zip(exprs, types, _key_cols(len(types) - 1))
-    ]
+    column types ``types`` (``_typed``)."""
+    items = [f"{e} AS {_id(c)}" for e, c in zip(_typed(types, exprs), _key_cols(len(types) - 1))]
     return f"SELECT {', '.join(items)} FROM {src}"
 
 
@@ -690,20 +800,22 @@ class _Spark:
 
     error = BackendError
 
-    def __init__(self, spark: SparkSession):
+    def __init__(self, spark: SparkSession, types: dict):
         self.spark = spark
+        self.types = types
 
     def empty(self, t: A.TArray) -> DataFrame:
         return empty_array(self.spark, t)
 
     def array(self, st, t: A.TArray, env: dict) -> DataFrame:
-        qb = _Query(self.spark, st.broadcast)
+        # a query that reads another's groups runs its joins too
+        qb = _Query(self.spark, st.broadcast or any(w.broadcast for w in st.reads), st.reads, self.types)
         if st.fill is not None:
             return qb.run(_fill_sql(st, t, env, qb), show(st.term))
         p, look = own_lookup(plan(st.term.new), st.name)
         res = _relation(p, env, qb)
-        if res is None:
-            return env[st.name]  # X ⊲ ∅ = X
+        if res is None:  # X ⊲ ∅ = X; an unread TInit left no X
+            return env[st.name] if st.name in env else self.empty(t)
         fr, steps, head, b = res
         if fr is None:
             # one row, its keys and value computed on the driver; an
@@ -743,4 +855,4 @@ class _Spark:
 
 def run_code(code, env: dict, spark: SparkSession, types: dict) -> dict:
     """Execute target code, updating and returning the environment."""
-    return exec_code(code, env, _Spark(spark), types)
+    return exec_code(code, env, _Spark(spark, types), types)

@@ -20,7 +20,7 @@ would be ~10× slower).
 from __future__ import annotations
 
 from . import ast as A
-from .monoids import BIN, CALLS, IDENTITY
+from .monoids import BIN, CALLS, IDENTITY, UN
 from .parser import parse
 
 
@@ -92,8 +92,8 @@ def _compile_expr(e):
         op = BIN[e.op]
         fn, subs = (lambda sig, a, b: op(a, b)), (e.left, e.right)
     elif isinstance(e, A.EUn):
-        fn = (lambda sig, v: -v) if e.op == "-" else (lambda sig, v: not v)
-        subs = (e.expr,)
+        op1 = UN[e.op]
+        fn, subs = (lambda sig, v: op1(v)), (e.expr,)
     elif isinstance(e, A.EIndex):
         n = e.array
         fn, subs = (lambda sig, *ks: sig[n].get(_key(ks), MISSING)), e.indexes

@@ -5,7 +5,7 @@ Section 3.3), defined once for every engine.
   identity (``argmin``'s is "absent", ``None``); ``identity`` gives it
   for an element type;
 * ``BIN`` maps each binary operator, the monoids included, to its Python
-  function;
+  function, and ``UN`` each unary one;
 * ``CALLS`` maps each built-in function to its Python function.
 
 The interpreter, the sequential engine and the Spark engine's
@@ -20,7 +20,10 @@ itself and orders above every double, in the comparisons, ``min``,
 Java's ``Math`` does, where Python's ``math`` raises; Spark's spelling
 of ``log`` follows them too. A division or remainder by zero raises on
 every engine, and so does ``floor`` or ``ceil`` of a NaN or an
-infinity.
+infinity. An integer result outside the 64-bit ``long`` raises
+``OverflowError``, as Spark's ANSI arithmetic raises
+``ARITHMETIC_OVERFLOW``: ``+``, ``-``, ``*`` and negation here, and so
+every fold of ``+`` or ``*``.
 """
 from __future__ import annotations
 
@@ -51,17 +54,24 @@ def identity(monoid: str, elem=None):
     return IDENTITY[monoid]
 
 
+def _long(r):
+    """``r``, unless it is an integer outside the 64-bit ``long``."""
+    if isinstance(r, int) and not LONG_MIN <= r <= LONG_MAX:
+        raise OverflowError(f"long overflow: {r} is outside the 64-bit range")
+    return r
+
+
 def _plus(a, b):
     """``+`` extended componentwise to tuples (the paper's Avg-style
     monoids are componentwise sums); the scalar identity 0 acts as the
     identity for tuples as well."""
     if isinstance(a, tuple) and isinstance(b, tuple):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(_long(x + y) for x, y in zip(a, b))
     if isinstance(b, tuple):
         return b
     if isinstance(a, tuple):
         return a
-    return a + b
+    return _long(a + b)
 
 
 # Spark orders NaN above every double, and so do these: Python's min/max
@@ -116,8 +126,8 @@ def _log(x):
 
 BIN = {
     "+": _plus,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
+    "-": lambda a, b: _long(a - b),
+    "*": lambda a, b: _long(a * b),
     "/": lambda a, b: a / b,
     "%": lambda a, b: a % b,
     "==": _eq,
@@ -132,6 +142,8 @@ BIN = {
     "max": _max,
     "argmin": _argmin,
 }
+
+UN = {"-": lambda a: _long(-a), "!": lambda a: not a}
 
 CALLS = {
     "sqrt": _sqrt,

@@ -35,7 +35,7 @@ from .comprehension import (
     map_terms,
     subst,
 )
-from .monoids import BIN
+from .monoids import BIN, LONG_MIN
 from .translate import map_code
 
 # the operators folded on constants: all but the monoids min, max, argmin
@@ -48,10 +48,10 @@ def _fold(t):
         if t.op in _FOLDED and t.left.value is not None and t.right.value is not None:
             try:
                 return Const(BIN[t.op](t.left.value, t.right.value))
-            except ZeroDivisionError:
+            except (ZeroDivisionError, OverflowError):  # each engine raises it when it runs
                 return t
     if isinstance(t, UnOp) and isinstance(t.expr, Const):
-        if t.op == "-" and isinstance(t.expr.value, (int, float)):
+        if t.op == "-" and isinstance(t.expr.value, (int, float)) and t.expr.value != LONG_MIN:
             return Const(-t.expr.value)
         if t.op == "!" and isinstance(t.expr.value, bool):
             return Const(not t.expr.value)

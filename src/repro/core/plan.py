@@ -27,10 +27,12 @@ too.
 ``plan_group`` lowers sibling comprehensions that start with the same
 scan and joins to those shared steps plus each one's own; ``fuse_code``
 groups the target-code assignments it can serve into a ``TGroup``, and
-marks the range fills and the keyless joins with a small side that the
-Spark engine lowers the way hand-written programs do (``TAssign.fill``,
-``TAssign.broadcast``). ``exec_code`` runs target code (Section 3.8) on
-either engine.
+marks the range fills, the keyless joins with a small side and the
+reads of another assignment's groups that the Spark engine lowers the
+way hand-written programs do (``TAssign.fill``, ``inside``,
+``broadcast`` and ``reads``). ``unread_inits`` marks the ``TInit``s
+whose empty array no statement reads. ``exec_code`` runs target code
+(Section 3.8) on either engine.
 """
 from __future__ import annotations
 
@@ -67,8 +69,8 @@ from .comprehension import (
     unagg,
 )
 from . import ast as A
-from .monoids import BIN, CALLS
-from .translate import TAssign, TGroup, TInit, TWhile, carried_arrays
+from .monoids import BIN, CALLS, UN
+from .translate import TAssign, TGroup, TInit, TWhile, assigned, carried_arrays, statements
 
 
 class PlanError(Exception):
@@ -350,6 +352,69 @@ def own_lookup(p: Plan, name: str) -> tuple:
     return (replace(p, steps=p.steps[:-1]) if p.steps else replace(p, driver=p.driver[:-1])), look
 
 
+def _bounded(steps) -> dict:
+    """``{var: [(lo, hi), …]}``: the variables that plan ``steps`` bound
+    by an ``inRange`` (``bounds``) or a range over them."""
+    bs = bounds([c for st in steps if isinstance(st, (Filter, Join)) for c in st.conds])
+    for st in steps:
+        src = st.source if isinstance(st, Join) else st
+        if isinstance(src, Range):
+            bs.setdefault(src.name, []).append((src.lo, src.hi))
+    return bs
+
+
+def fill_keys(join: Join, fill: Fill, before) -> Optional[tuple]:
+    """The terms a ``join`` reads the array of a range ``fill`` at, one
+    per key, if its conditions are just one equality per key of its
+    scan, and the plan steps ``before`` it bound each key's other side
+    by the fill's range for that key; else None. Each key read then lies
+    inside the fill, where the array is the fill and its update."""
+    src = join.source
+    if not (isinstance(src, Scan) and len(join.conds) == len(join.keys) == len(fill.keys)
+            and len(src.names) == len(fill.keys) + 1):
+        return None
+    at = {s.name: o for o, s in join.keys if isinstance(s, Var)}
+    bs = _bounded(before)
+    out = []
+    for k, b in zip(src.names, fill.bounds):
+        o = at.get(k)
+        if not (isinstance(o, Var) and b in bs.get(o.name, ())):
+            return None
+        out.append(o)
+    return tuple(out)
+
+
+def carried_join(reader: Plan, writer: Plan, name: str) -> Optional[int]:
+    """The position in ``reader``'s steps of its join of the array
+    ``name``, if ``writer`` (the update of ``name`` without its own
+    lookup, ``own_lookup``) groups a scan of an array ``A`` by ``A``'s
+    full key into keys of ``name``, and ``reader`` starts with its own
+    scan of ``A``, filters, and that join on the same full key; else
+    None. Every group holds one element of ``A``, so ``reader`` may read
+    the groups carrying that element instead of both arrays."""
+    w, r = writer.steps, reader.steps
+    if writer.driver or reader.driver or not w or not r or not isinstance(w[0], Scan):
+        return None
+    g, scan = w[-1], w[0]
+    keys = tuple(Var(n) for n in scan.names[:-1])
+    if not (isinstance(g, GroupBy) and g.keys == keys and scan.array != name
+            and sum(isinstance(st, GroupBy) for st in w) == 1 and isinstance(writer.head, TupleT)
+            and writer.head.items[:-1] == tuple(Var(n) for n in g.names)
+            and isinstance(r[0], Scan) and r[0].array == scan.array):
+        return None
+    i = 1
+    while i < len(r) and isinstance(r[i], Filter):
+        i += 1
+    if i == len(r):
+        return None
+    j = r[i]
+    if not (isinstance(j, Join) and isinstance(j.source, Scan) and j.source.array == name
+            and not j.residual and len(j.source.names) == len(scan.names)):
+        return None
+    on = {(Var(a), Var(b)) for a, b in zip(r[0].names[:-1], j.source.names[:-1])}
+    return i if set(j.keys) == on and len(j.conds) == len(on) else None
+
+
 def fills_before(fill: Fill, name: str, comp: Comp) -> bool:
     """Whether the update ``comp`` (rule 15a) of the array ``name`` can
     be lowered with a range ``fill`` of that array that comes before
@@ -365,13 +430,7 @@ def fills_before(fill: Fill, name: str, comp: Comp) -> bool:
     groups = [i for i, st in enumerate(p.steps) if isinstance(st, GroupBy)]
     if len(keys) != len(fill.keys) or len(groups) != 1:
         return False
-    g, before = p.steps[groups[0]], p.steps[:groups[0]]
-    conds = [c for st in before if isinstance(st, (Filter, Join)) for c in st.conds]
-    bs = bounds(conds)
-    for st in before:
-        src = st.source if isinstance(st, Join) else st
-        if isinstance(src, Range):
-            bs.setdefault(src.name, []).append((src.lo, src.hi))
+    g, bs = p.steps[groups[0]], _bounded(p.steps[:groups[0]])
     for k, b in zip(keys, fill.bounds):
         if not (isinstance(k, Var) and k.name in g.names):
             return False
@@ -507,16 +566,21 @@ def _fits(group: list, st: TAssign) -> bool:
     )
 
 
+def _plan_of(comp) -> Optional[Plan]:
+    """The plan of a comprehension, None for None or one that does not
+    plan."""
+    try:
+        return plan(comp) if comp is not None else None
+    except PlanError:  # left alone, running it reports the error
+        return None
+
+
 def _broadcast(st: TAssign) -> TAssign:
     """``st`` with ``broadcast`` set if a join of its comprehension has
     no key equalities and a source that ``inRange`` bounds
     (``join_bounds``)."""
-    comp = member_comp(st)
-    try:
-        steps = plan(comp).steps if comp is not None else ()
-    except PlanError:  # left alone, running it reports the error
-        steps = ()
-    small = any(isinstance(s, Join) and join_bounds(s) is not None for s in steps)
+    p = _plan_of(member_comp(st))
+    small = p is not None and any(isinstance(s, Join) and join_bounds(s) is not None for s in p.steps)
     return replace(st, broadcast=small)
 
 
@@ -539,11 +603,12 @@ def _open_fill(out: list, name: str) -> Optional[int]:
 
 
 def _fill(code: list) -> list:
-    """Mark the range fills of a block (``TAssign.fill``). A fill and an
-    update of the same array after it (``fills_before``) become one
-    assignment, the update's, marked with the fill and as fresh as the
-    fill was, when the statements between them neither mention the
-    array nor assign what the fill reads (``_open_fill``)."""
+    """Mark the range fills of a block, nested blocks included
+    (``TAssign.fill``). A fill and an update of the same array after it
+    (``fills_before``) become one assignment, the update's, marked with
+    the fill and as fresh as the fill was, when the statements between
+    them neither mention the array nor assign what the fill reads
+    (``_open_fill``)."""
     out: list = []
     for st in code:
         new = member_comp(st) if isinstance(st, TAssign) else None
@@ -553,18 +618,152 @@ def _fill(code: list) -> list:
             out.append(replace(st, fresh=fill.fresh, fill=fill.fill))
         elif new is not None and isinstance(st.term, Merge) and range_fill(new) is not None:
             out.append(replace(st, fill=new))
+        elif isinstance(st, TWhile):
+            out.append(TWhile(st.cond, _fill(st.body)))
         else:
             out.append(st)
     return out
 
 
+def _each(code: list, f) -> list:
+    """``code`` with each statement but a loop replaced by ``f`` of it,
+    in order, loop bodies included."""
+    return [TWhile(st.cond, _each(st.body, f)) if isinstance(st, TWhile) else f(st)
+            for st in code]
+
+
+def _mentions(st, name: str) -> bool:
+    """Whether a statement, nested ones included, assigns or reads
+    ``name``."""
+    for s in statements([st]):
+        terms = [s.cond] if isinstance(s, TWhile) else [s.term] if isinstance(s, TAssign) else []
+        if getattr(s, "name", None) == name or any(name in state_refs(t) for t in terms):
+            return True
+    return False
+
+
+def _inside(code: list) -> set:
+    """The arrays that the program initialises before it mentions them
+    otherwise, and assigns only by range fills over the same ranges,
+    alone or with an update (``fills_before``), whose bounds read no
+    scalar it assigns: every key they hold lies inside those ranges."""
+    names, out = assigned(code), set()
+    for name in {st.name for st in statements(code) if isinstance(st, TInit)}:
+        sts = [st for st in statements(code) if isinstance(st, TAssign) and st.name == name]
+        ranges = {range_fill(st.fill).bounds if st.fill is not None else None for st in sts}
+        if len(ranges) != 1 or None in ranges:
+            continue
+        (rs,) = ranges
+        first = next(st for st in code if _mentions(st, name))
+        if isinstance(first, TInit) and not {n for b in rs for x in b for n in state_refs(x)} & names:
+            out.add(name)
+    return out
+
+
+def _pairs(code: list) -> set:
+    """The arrays whose one assignment is a fill and its update, neither
+    of which reads anything else that the program assigns: wherever the
+    pair has run and no ``TInit`` since, the array inside the fill's
+    ranges is a function of the update's groups (``fill_keys``)."""
+    names, out = assigned(code), set()
+    for name in names:
+        sts = [st for st in statements(code) if isinstance(st, TAssign) and st.name == name]
+        if len(sts) == 1 and sts[0].fill is not None and sts[0].fill != sts[0].term.new:
+            (st,) = sts
+            if not (set(state_refs(st.fill) + state_refs(st.term.new)) - {name}) & names:
+                out.add(name)
+    return out
+
+
+def _reads(st: TAssign, ready: dict, prev) -> tuple:
+    """The assignments whose groups the array assignment ``st`` can read
+    instead of their destinations: the fills and updates in ``ready``
+    that one of its joins reads inside the fill (``fill_keys``), and
+    ``prev``, the statement just before it, if that is a fresh group-by
+    whose groups carry what ``st`` joins it to (``carried_join``)."""
+    comp = member_comp(st)
+    p = _plan_of(comp) if isinstance(st.term, Merge) else None
+    if p is None:
+        return ()
+    out = [ready[j.source.array] for i, j in enumerate(p.steps)
+           if isinstance(j, Join) and isinstance(j.source, Scan) and j.source.array in ready
+           and fill_keys(j, range_fill(ready[j.source.array].fill), p.steps[:i]) is not None]
+    w = member_comp(prev) if isinstance(prev, TAssign) else None
+    pw = _plan_of(w) if w is not None and prev.fresh and prev.fill is None and st.fill is None else None
+    if pw is not None and state_refs(comp).count(prev.name) == 1:
+        # the group-by reads its own array at most by its lookup
+        pw, look = own_lookup(pw, prev.name)
+        if state_refs(w).count(prev.name) == (look is not None) and carried_join(p, pw, prev.name) is not None:
+            out.append(prev)
+    return tuple({id(a): a for a in out}.values())
+
+
+def _read_groups(code: list, pairs: set, ready: dict) -> list:
+    """Mark the assignments of a block that read other assignments'
+    groups (``TAssign.reads``, ``_reads``). ``ready`` maps each array of
+    ``pairs`` whose pair has run, with no ``TInit`` of it since, to that
+    pair; a loop's body sees only those that the body does not
+    assign."""
+    out: list = []
+    ready = dict(ready)
+    for st in code:
+        if isinstance(st, TWhile):
+            ready = {n: w for n, w in ready.items() if n not in assigned(st.body)}
+            st = TWhile(st.cond, _read_groups(st.body, pairs, ready))
+        elif isinstance(st, TInit):
+            ready.pop(st.name, None)
+        elif isinstance(st, TAssign):
+            st = replace(st, reads=_reads(st, ready, out[-1] if out else None))
+            if st.name in pairs:
+                ready[st.name] = st
+        out.append(st)
+    return out
+
+
+def unread_inits(code: list) -> list:
+    """``code`` with ``unread`` set on each ``TInit`` whose empty array
+    no statement reads: the next statement of its block that mentions
+    the array is a fresh assignment to it that reads it at most by its
+    own lookup (``own_lookup``), loop bodies included."""
+    out: list = []
+    for i, st in enumerate(code):
+        if isinstance(st, TWhile):
+            st = TWhile(st.cond, unread_inits(st.body))
+        elif isinstance(st, TInit):
+            nxt = next((s for s in code[i + 1:] if _mentions(s, st.name)), None)
+            comp = member_comp(nxt) if isinstance(nxt, TAssign) and nxt.fresh else None
+            n = state_refs(comp).count(st.name) if comp is not None else -1
+            p = _plan_of(comp) if n == 1 else None
+            if n == 0 or p is not None and own_lookup(p, st.name)[1] is not None:
+                st = replace(st, unread=True)
+        out.append(st)
+    return out
+
+
 def fuse_code(code: list) -> list:
     """Lower a block for the Spark engine the way a hand-written program
-    would: mark its range fills (``_fill``) and its joins that may
-    broadcast (``_broadcast``), then group each run of consecutive
-    assignments that one scan can serve (``_fits``) into a ``TGroup``,
-    in ``while`` bodies too. Sources that are ranges are never grouped:
-    a range costs nothing to generate again."""
+    would:
+
+    * mark its range fills (``_fill``) and its joins that may broadcast
+      (``_broadcast``);
+    * mark the fills whose array holds no key outside them
+      (``TAssign.inside``, ``_inside``), and the assignments that read
+      another's groups instead of its array (``TAssign.reads``,
+      ``_read_groups``);
+    * group each run of consecutive assignments that one scan can serve
+      (``_fits``) into a ``TGroup``, in ``while`` bodies too. Sources
+      that are ranges are never grouped: a range costs nothing to
+      generate again."""
+    code = _each(_fill(code), lambda st: _broadcast(st) if isinstance(st, TAssign) else st)
+    inside = _inside(code)
+    code = _each(code, lambda st: replace(st, inside=True)
+                 if isinstance(st, TAssign) and st.name in inside else st)
+    return _group(_read_groups(code, _pairs(code), {}))
+
+
+def _group(code: list) -> list:
+    """Group each run of consecutive assignments of a block that one
+    scan can serve (``_fits``) into a ``TGroup``."""
     out: list = []
     run: list = []
 
@@ -573,9 +772,7 @@ def fuse_code(code: list) -> list:
             out.append(run[0] if len(run) == 1 else TGroup(list(run)))
             run.clear()
 
-    for st in _fill(code):
-        if isinstance(st, TAssign):
-            st = _broadcast(st)
+    for st in code:
         if isinstance(st, TAssign) and run and _fits(run, st):
             run.append(st)
             continue
@@ -583,7 +780,7 @@ def fuse_code(code: list) -> list:
         if isinstance(st, TAssign):
             run.append(st)
         elif isinstance(st, TWhile):
-            out.append(TWhile(st.cond, fuse_code(st.body)))
+            out.append(TWhile(st.cond, _group(st.body)))
         else:
             out.append(st)
     close()
@@ -607,8 +804,8 @@ def compile_term(t, env: dict):
         f, g, op = compile_term(t.left, env), compile_term(t.right, env), BIN[t.op]
         return lambda r: op(f(r), g(r))
     if isinstance(t, UnOp):
-        f = compile_term(t.expr, env)
-        return (lambda r: -f(r)) if t.op == "-" else (lambda r: not f(r))
+        f, op = compile_term(t.expr, env), UN[t.op]
+        return lambda r: op(f(r))
     if isinstance(t, TupleT):
         fs = [compile_term(x, env) for x in t.items]
         return lambda r: tuple(f(r) for f in fs)
@@ -670,11 +867,13 @@ def exec_code(code, env: dict, engine, types: dict) -> dict:
     """Execute target code on ``engine``, updating and returning the
     environment. The engine gives:
 
-    * ``empty(t)``: a new empty array of type ``t``;
+    * ``empty(t)``: a new empty array of type ``t``; an ``unread``
+      ``TInit`` builds none, and drops the array from ``env``;
     * ``array(st, t, env)``: the new value of the array ``st`` assigns,
       whose term is a merge ``X ⊲ comp`` into that array ``X`` (rules
       14c and 15a), with a head of ``t.ndims`` keys and a value, after
-      the range fill ``st.fill`` if there is one;
+      the range fill ``st.fill`` if there is one; if ``st.fresh``, the
+      old array is empty, whether ``env`` holds it or not;
     * ``scalar(comp, env, broadcast)``: the elements of a comprehension
       (``broadcast``: see ``TAssign.broadcast``);
     * ``group(gp, stmts, env, types)``: the new values of a ``TGroup``'s
@@ -687,7 +886,9 @@ def exec_code(code, env: dict, engine, types: dict) -> dict:
     * ``error``: the exception class of its errors.
     """
     for st in code:
-        if isinstance(st, TInit):
+        if isinstance(st, TInit) and st.unread:
+            env.pop(st.name, None)
+        elif isinstance(st, TInit):
             env[st.name] = engine.empty(st.type)
         elif isinstance(st, TAssign):
             t = types.get(st.name)

@@ -142,6 +142,8 @@ class _Seq:
         return {}
 
     def array(self, st, t, env: dict) -> dict:
+        if st.fresh:
+            env = {**env, st.name: {}}
         if st.fill is not None and st.fill != st.term.new:  # V := (V ⊲ fill) ⊲ e
             env = {**env, st.name: self._merge(st.name, st.fill, t, env)}
         return self._merge(st.name, st.term.new, t, env)
@@ -158,6 +160,7 @@ class _Seq:
     def group(self, gp, stmts, env: dict, types: dict) -> dict:
         """The shared steps once, then each member's own steps over
         their rows."""
+        env = {**env, **{s.name: {} for s in stmts if s.fresh}}
         rows = _run_steps(_source(gp.shared[0], env, {}), gp.shared[1:], env, {})
         new = {}
         for s, m in zip(stmts, gp.members):

@@ -61,10 +61,15 @@ from .monoids import identity
 # ----------------------------------------------------------- target code
 @dataclass
 class TInit:
-    """Initialize an empty array (``var V: vector[t] = vector()``)."""
+    """Initialize an empty array (``var V: vector[t] = vector()``);
+    ``unread`` if no statement reads the empty array: the next one of
+    its block to mention ``V`` is a fresh assignment (``TAssign``) that
+    reads ``V`` at most by rule 15a's lookup, so the engines skip it
+    (``plan.unread_inits``)."""
 
     name: str
     type: A.TArray
+    unread: bool = False
 
 
 @dataclass
@@ -73,18 +78,29 @@ class TAssign:
     ``fresh`` if ``V``'s ``TInit`` comes before it in its block with no
     other assignment to ``V`` in between, so ``V`` is empty here.
 
-    Two lowerings are decided by ``plan.fuse_code``. ``fill`` is a range
-    fill ``{(i…, c) | i <- range…}`` of the array ``V`` that this
-    assignment ``V := V ⊲ e`` runs first, as ``V := (V ⊲ fill) ⊲ e``,
-    lowered with it and without a join; a fill that no update follows
-    is its own ``e``. ``broadcast`` lets a join without key equalities
-    broadcast a source whose keys ``inRange`` bounds."""
+    ``plan.fuse_code`` sets the other fields. ``fill`` changes what the
+    assignment runs; the rest mark lowerings that only the Spark engine
+    reads:
+
+    * ``fill`` is a range fill ``{(i…, c) | i <- range…}`` of the array
+      ``V`` that this assignment ``V := V ⊲ e`` runs first, as
+      ``V := (V ⊲ fill) ⊲ e``, lowered with it and without a join; a
+      fill that no update follows is its own ``e``;
+    * ``inside``: every key ``V`` can hold lies inside ``fill``'s ranges,
+      so the fill's rows replace ``V``'s;
+    * ``broadcast`` lets a join without key equalities broadcast a
+      source whose keys ``inRange`` bounds;
+    * ``reads``: assignments whose groups this one reads instead of
+      their destinations: a fill and its update (``plan.fill_keys``), or
+      the group-by just before this one (``plan.carried_join``)."""
 
     name: str
     term: object
     fresh: bool = False
     fill: Optional[object] = None
+    inside: bool = False
     broadcast: bool = False
+    reads: tuple = ()
 
 
 @dataclass
@@ -136,7 +152,9 @@ def statements(code: list):
         yield from statements(st.body if isinstance(st, TWhile) else getattr(st, "stmts", ()))
 
 
-def _assigned(code: list) -> set:
+def assigned(code: list) -> set:
+    """The names the statements of a block, nested ones included,
+    initialise or assign."""
     return {st.name for st in statements(code) if isinstance(st, (TInit, TAssign))}
 
 
@@ -149,7 +167,7 @@ def mark_fresh(code: list) -> list:
             st = replace(st, fresh=st.name in inits)
         elif isinstance(st, TWhile):
             st = TWhile(st.cond, mark_fresh(st.body))
-        inits -= _assigned([st])
+        inits -= assigned([st])
         if isinstance(st, TInit):
             inits.add(st.name)
         out.append(st)
@@ -172,9 +190,9 @@ def carried_arrays(body: list, types: dict) -> list:
             first.setdefault(n, False)
         if isinstance(st, (TInit, TAssign)):
             first.setdefault(st.name, isinstance(st, TInit))
-    assigned = _assigned(body)
+    names = assigned(body)
     return [n for n, init in first.items()
-            if not init and n in assigned and isinstance(types.get(n), A.TArray)]
+            if not init and n in names and isinstance(types.get(n), A.TArray)]
 
 
 class Translator:

@@ -11,6 +11,7 @@ from repro.core.convert import dict_to_df
 from repro.core.interp import InterpError, interpret
 from repro.core.pipeline import compile_program, run_program
 from repro.core.translate import TAssign, TranslationError, statements
+from repro.programs.handwritten import HANDWRITTEN
 from repro.programs.suite import BY_NAME, build_envs
 from tests.test_backend_sql import _same, sql_calls, three_engines  # noqa: F401  (a fixture)
 from tests.test_handwritten import _plan_shape
@@ -61,20 +62,29 @@ def test_outputs_have_their_declared_schema(shapes, name, fuse):
 
 
 @pytest.mark.parametrize("name,out,fused,plain", [
-    # P: the fill in the loop and its update are one range LEFT JOIN, and
-    # so is C, which P's update joins
-    ("PageRank", "P", (6, 4), (9, 5)),
+    # P: the fill in the loop and its update are one range LEFT JOIN, with
+    # no rows of P outside the range, and P's update joins C's groups, not
+    # C, itself a range LEFT JOIN
+    ("PageRank", "P", (5, 3), (9, 5)),
     ("PageRank", "C", (2, 1), (2, 1)),
-    # the centroids are broadcast: a BroadcastExchange more, no CartesianProduct
-    ("KMeans", "C", (5, 3), (4, 3)),
+    # the centroids are broadcast (a BroadcastExchange more, no
+    # CartesianProduct), and the argmin's groups carry each point to avg
+    ("KMeans", "C", (4, 2), (4, 3)),
     ("Matrix Multiplication", "R", (4, 2), (4, 3)),
-    ("Matrix Factorization", "P", (10, 6), (11, 7)),
-    ("Matrix Factorization", "Q", (10, 6), (11, 7)),
+    # err reads pq's groups, not pq, a range LEFT JOIN like PageRank's C
+    ("Matrix Factorization", "P", (9, 5), (11, 7)),
+    ("Matrix Factorization", "Q", (9, 5), (11, 7)),
 ])
 def test_plan_shapes_with_and_without_fuse(shapes, name, out, fused, plain):
     assert shapes[name, out, True][:2] == fused
     assert shapes[name, out, False][:2] == plain
     assert "CartesianProduct" not in shapes[name, out, True][2]
+
+
+@pytest.mark.parametrize("name,out", [("PageRank", "P"), ("KMeans", "C")])
+def test_fused_shapes_equal_the_handwritten_ones(spark, shapes, name, out):
+    env, _, _ = build_envs(BY_NAME[name], "tiny", spark)
+    assert shapes[name, out, True][:2] == _plan_shape(HANDWRITTEN[name](env)[out])
 
 
 @pytest.mark.parametrize("name,out", [("KMeans", "C"), ("Matrix Multiplication", "R"),

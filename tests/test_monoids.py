@@ -20,8 +20,9 @@ NAN, INF = float("nan"), float("inf")
 NUMERIC = ("+", "*", "min", "max")
 
 # (id, element type, bag, monoids reduced over it). Left out: long
-# overflow (its contract is open) and argmin ties (Spark's min_by may
-# keep any of them).
+# overflow, which raises on every engine (test_backend_sql.py's
+# test_long_overflow_raises_on_every_engine), and argmin ties (Spark's
+# min_by may keep any of them).
 BAGS = [
     ("long-mixed", L, [3, -7, 0, 12, -1], NUMERIC),
     ("long-bounds", L, [LONG_MAX, 0, LONG_MIN], ("+", "min", "max")),
@@ -120,7 +121,8 @@ def test_nan_scalar_update_over_no_rows_stays_nan(spark, op, filtered):
 # (operator or function, operands): Spark's spelling of each (``to_sql``)
 # must give what ``BIN`` and ``CALLS`` give the interpreter and seq, or
 # raise where they raise. Operands stay inside the int32 range, with
-# results too: a long's overflow is an open contract.
+# results too; a long's overflow raises on every engine, as tested in
+# test_backend_sql.py.
 CMP = ("==", "!=", "<", "<=", ">", ">=")
 OPS = [
     *[("+", a, b) for a, b in ((3, -7), (-2.5, 0.5), (1.0, NAN), (INF, -INF))],
