@@ -32,6 +32,7 @@ import conftest  # noqa: E402  (sets the driver's memory before the JVM starts)
 
 from repro.baselines import casper_like, mold_like  # noqa: E402
 from repro.core.pipeline import compile_program, run_program  # noqa: E402
+from repro.core.plan import Join  # noqa: E402
 from repro.core.seq_backend import run_program_seq  # noqa: E402
 from repro.core.translate import TAssign, TGroup, statements  # noqa: E402
 from repro.programs.handwritten import HANDWRITTEN  # noqa: E402
@@ -98,7 +99,9 @@ def best_of_2(fn, warmup=True):
 def fused(code) -> bool:
     """Whether ``fuse`` changed the code (``plan.fuse_code``)."""
     return any(isinstance(st, TGroup) or isinstance(st, TAssign) and (
-        st.fill is not None or st.broadcast) for st in statements(code))
+        st.fill is not None or st.plan is not None and any(
+            isinstance(j, Join) and j.small is not None for j in st.plan.steps))
+        for st in statements(code))
 
 
 def warm_up(spark, prog):

@@ -11,28 +11,29 @@ State representation:
 
 Each target statement is lowered to the text of one Spark SQL query and
 run with a single ``spark.sql`` call, so Catalyst analyses the whole
-statement once instead of once per DataFrame call. ``plan.plan`` lowers
-each comprehension to relational steps, and this module spells them as
-nested ``SELECT … FROM (…)``: scans of the arrays (registered as
-temporary views while the query is analysed), the ``range`` table
-function, joins on their conditions, ``WHERE`` filters, ``GROUP BY``
-with one aggregate per ``⊕/e`` reduction; the array merge ``⊲`` becomes
-a ``FULL OUTER JOIN`` with ``coalesce`` (paper: "on Spark, ⊲ can be
-implemented as a coGroup"). The steps before the first generator run on
-the driver with the sequential engine's evaluator. Scalar state enters
-the query as literals, every integer a BIGINT: the loop language's one
-integer type is the 64-bit ``long``.
+statement once instead of once per DataFrame call. The statement carries
+the relational steps of its comprehension, planned once at compile time
+(``plan.plan_code``): this module plans and recognises nothing, and
+spells those steps as nested ``SELECT … FROM (…)``: scans of the arrays
+(registered as temporary views while the query is analysed), the
+``range`` table function, joins on their conditions, ``WHERE`` filters,
+``GROUP BY`` with one aggregate per ``⊕/e`` reduction; the array merge
+``⊲`` becomes a ``FULL OUTER JOIN`` with ``coalesce`` (paper: "on Spark,
+⊲ can be implemented as a coGroup"). The steps before the first
+generator run on the driver with the sequential engine's evaluator.
+Scalar state enters the query as literals, every integer a BIGINT: the
+loop language's one integer type is the 64-bit ``long``.
 
 Every array assignment is a merge ``X ⊲ comp`` (rules 14c and 15a),
 and ``_merge_sql`` is its one lowering: the rows of ``comp``, then
 ``X FULL OUTER JOIN`` them on the key, with the rows' value where a row
 is present. An incremental update (rule 15a: ``X ⊲ {(k, w ⊕ ⊕/v) | …,
-group by k, w <~ X[k] ?? id}``) is the merge whose plan ends in the
-lookup of ``X`` at the head's key (``plan.own_lookup``): that lookup of
-the pre-update value ``w`` reads the old side of the same join instead
-of joining ``X`` a second time. A merge into a just-initialised array (a ``fresh``
-assignment, ``translate.mark_fresh``) is the new bag alone, with no
-join; every lookup into it misses.
+group by k, w <~ X[k] ?? id}``) is the merge whose plan came with its
+lookup of ``X`` at the head's key split off (``TAssign.look``): that
+lookup of the pre-update value ``w`` reads the old side of the same
+join instead of joining ``X`` a second time. A merge into a
+just-initialised array (a ``fresh`` assignment, ``translate.mark_fresh``)
+is the new bag alone, with no join; every lookup into it misses.
 
 The plan applies conditions as soon as all their variables are bound,
 which lets the Section 3.6 ``inRange`` predicates land on the array
@@ -48,9 +49,9 @@ marks them:
   after it merges into the fill's rows instead of into ``X``: ``range
   LEFT JOIN`` its groups, with no ``FULL OUTER JOIN``;
 * a join without key equalities whose source ``inRange`` bounds to a
-  few rows (``TAssign.broadcast``) broadcasts that source;
-* a statement may read another's groups instead of its array
-  (``TAssign.reads``): a join of a filled array inside the fill is a
+  few rows (``Join.small``) broadcasts that source;
+* a join may read another assignment's groups instead of its array
+  (``Join.reads``): a join of a filled array inside the fill is a
   ``LEFT JOIN`` of the update's groups, the fill's value where a key
   has none (``_filled_join``); a scan of ``A`` joined by ``A``'s key to
   the fresh group-by just before, which grouped ``A`` by that key, is
@@ -74,7 +75,6 @@ from . import ast as A
 from .comprehension import (
     BinOp,
     Call,
-    Comp,
     Const,
     InRange,
     Proj,
@@ -95,15 +95,8 @@ from .plan import (
     Plan,
     Scan,
     Total,
-    carried_join,
     compile_term,
     exec_code,
-    fill_keys,
-    join_bounds,
-    member_comp,
-    own_lookup,
-    plan,
-    range_fill,
     run_driver,
 )
 
@@ -113,7 +106,7 @@ class BackendError(Exception):
 
 
 # A join without key equalities broadcasts a source that ``inRange``
-# bounds to at most this many rows (``TAssign.broadcast``)
+# bounds to at most this many rows (``plan.Join.small``)
 BROADCAST_ROWS = 10_000
 
 
@@ -318,17 +311,11 @@ def _agg_sql(monoid: str, e: str, filt: str = "") -> str:
 
 
 class _Query:
-    """One Spark SQL query under construction: the arrays it reads,
-    fresh subquery aliases, whether a join without key equalities may
-    broadcast a small source (``TAssign.broadcast``), and the
-    assignments whose groups it may read instead of their arrays
-    (``TAssign.reads``), with the program's ``types``."""
+    """One Spark SQL query under construction: the arrays it reads and
+    fresh subquery aliases, with the program's ``types``."""
 
-    def __init__(self, spark: SparkSession, broadcast: bool = False, reads: tuple = (),
-                 types: Optional[dict] = None):
+    def __init__(self, spark: SparkSession, types: Optional[dict] = None):
         self.spark = spark
-        self.broadcast = broadcast
-        self.reads = {w.name: w for w in reads}
         self.types = types or {}
         self.views: dict = {}  # id(DataFrame) -> (view name, DataFrame)
         self.n = 0
@@ -380,12 +367,11 @@ def _lookup(spark: SparkSession, env: dict, array: str, key: tuple, default):
 # ------------------------------------------------- comprehension compile
 class _Frontier:
     """Relation under construction: a FROM item and its column names,
-    which are the bound variables, and the plan steps it has lowered."""
+    which are the bound variables."""
 
-    def __init__(self, src: str, cols: list, steps: Optional[list] = None):
+    def __init__(self, src: str, cols: list):
         self.src = src
         self.cols = cols
-        self.steps = steps or []
 
     def select(self, qb: _Query, items: list, tail: str = "", hint: str = "") -> None:
         self.src = f"(SELECT {hint}{', '.join(items)} FROM {self.src}{tail}) AS {qb.alias()}"
@@ -417,90 +403,91 @@ def _relation(p: Plan, env: dict, qb: _Query):
     """Run a plan's driver steps: ``(frontier, steps, head, b)``, the
     relation of the plan's source, the steps after it, the head and the
     driver's bindings; the frontier is None when it has no generators.
-    None for an empty bag. A plan that scans an array and joins it to
-    the group-by before it by that array's key (``plan.carried_join``)
-    reads the groups instead (``_carried``)."""
+    None for an empty bag. A join that reads the groups of the group-by
+    before it (``Join.reads`` without ``at``) replaces the source too:
+    the frontier is those groups (``_carried``)."""
     b = run_driver(p, env, lambda a, k, d: _lookup(qb.spark, env, a, k, d))
     if b is None:
         return None
-    for w in qb.reads.values():
-        if w.fill is None:
-            pw, look = own_lookup(plan(member_comp(w)), w.name)
-            i = carried_join(p, pw, w.name)
-            if i is not None:
-                fr = _carried(pw, look, w.name, p.steps[0].names + p.steps[i].source.names, env, qb)
-                return fr, p.steps[1:i] + p.steps[i + 1:], p.head, b
+    i = next((i for i, j in enumerate(p.steps)
+              if isinstance(j, Join) and j.reads is not None and j.at is None), None)
+    if i is not None:
+        fr = _carried(p.steps[i].reads, p.steps[0].names + p.steps[i].source.names, env, qb)
+        return fr, p.steps[1:i] + p.steps[i + 1:], p.head, b
     return (_lower(p.steps[:1], env, qb, b) if p.steps else None), p.steps[1:], p.head, b
 
 
 def _lower(steps: tuple, env: dict, qb: _Query, b: dict, carry: Optional[dict] = None) -> _Frontier:
     """The relation of plan steps that start with their source; ``b``
     holds the driver's bindings (``carry``: see ``_apply``)."""
-    fr = _Frontier(_source_sql(steps[0], env, qb, b), list(steps[0].names), [steps[0]])
+    fr = _Frontier(_source_sql(steps[0], env, qb, b), list(steps[0].names))
     _apply(fr, steps[1:], env, qb, b, carry)
     return fr
 
 
-def _carried(pw: Plan, look, name: str, names: tuple, env: dict, qb: _Query) -> _Frontier:
-    """The groups of the fresh update ``pw`` of the array ``X`` called
-    ``name`` (its lookup ``look`` missing), as the relation ``(A's key,
-    A's value, X's key, X's value)`` named ``names`` that a scan of
-    ``A`` joined to ``X`` by that key gives (``plan.carried_join``):
-    ``pw`` groups by ``A``'s key, so each group carries its one element
-    of ``A``, a struct field by field, and whether it is NULL: a struct
-    aggregate would make Spark sort the groups instead of hashing them.
-    X's columns have the types ``_fresh_sql`` gives them."""
-    types, v = _col_types(qb.types[name]), _id(pw.steps[0].names[-1])
-    elem = spark_type(qb.types[pw.steps[0].array].elem)
+def _groups(fr: _Frontier, head, look, old: str, env: dict, qb: _Query) -> list:
+    """The SQL of ``head``, keys then the value, over the groups ``fr``
+    of an update whose lookup ``look`` (rule 15a, ``w <~ X[k] ?? d``),
+    if any, reads ``old`` instead of ``X``: ``w`` is ``coalesce(old,
+    d)``, where ``old`` is a typed NULL over no old side, or a fill's
+    value."""
+    if look:
+        fr.select(qb, fr.with_cols({look.var: f"coalesce({old}, {_lit(look.default)})"}))
+    return [to_sql(x, env) for x in head.items]
+
+
+def _carried(w, names: tuple, env: dict, qb: _Query) -> _Frontier:
+    """The groups of the fresh update ``w`` of an array ``X`` (its lookup
+    missing), as the relation ``(A's key, A's value, X's key, X's
+    value)`` named ``names`` that a scan of ``A`` joined to ``X`` by
+    that key gives (``plan.carried_join``): ``w`` groups by ``A``'s key,
+    so each group carries its one element of ``A``, a struct field by
+    field, and whether it is NULL: a struct aggregate would make Spark
+    sort the groups instead of hashing them. X's columns have the types
+    ``_fresh_sql`` gives them."""
+    p = w.plan
+    types, v = _col_types(qb.types[w.name]), _id(p.steps[0].names[-1])
+    elem = spark_type(qb.types[p.steps[0].array].elem)
     if isinstance(elem, T.StructType):
         carry = {f"_c{j}": f"{v}.{_id(f.name)}" for j, f in enumerate(elem.fields)}
         carry["_cn"] = f"{v} IS NULL"
         item = f"CASE WHEN NOT `_cn` THEN {_struct((f.name, _id(f'_c{j}')) for j, f in enumerate(elem.fields))} END"
     else:
         carry, item = {"_c": v}, "`_c`"
-    fr = _lower(pw.steps, env, qb, {}, carry)
-    if look:
-        fr.select(qb, fr.with_cols({look.var: f"coalesce(CAST(NULL AS {types[-1]}), {_lit(look.default)})"}))
-    *keys, value = _typed(types, [to_sql(x, env) for x in pw.head.items])
+    fr = _lower(p.steps, env, qb, {}, carry)
+    *keys, value = _typed(types, _groups(fr, p.head, w.look, f"CAST(NULL AS {types[-1]})", env, qb))
     n = len(keys)
     a_names, x_names = names[:n + 1], names[n + 1:]
     fr.select(qb, [f"{k} AS {_id(c)}" for k, c in zip(keys, a_names)] + [f"{item} AS {_id(a_names[-1])}"]
               + [f"{k} AS {_id(c)}" for k, c in zip(keys, x_names)]
               + [f"{value} AS {_id(x_names[-1])}"])
-    fr.cols, fr.steps = list(names), []
+    fr.cols = list(names)
     return fr
 
 
 def _small(join: Join, env: dict, b: dict) -> bool:
-    """Whether ``inRange`` bounds the source of a join without key
-    equalities to at most ``BROADCAST_ROWS`` rows (``join_bounds``),
-    the bounds evaluated on the driver."""
-    bs = join_bounds(join)
-    if bs is None:
-        return False
-    sizes = (int(compile_term(hi, env)(b)) - int(compile_term(lo, env)(b)) + 1 for lo, hi in bs)
-    return math.prod(max(n, 0) for n in sizes) <= BROADCAST_ROWS
+    """Whether the ranges ``join.small`` (``plan.Join``) hold at most
+    ``BROADCAST_ROWS`` rows, their bounds evaluated on the driver."""
+    sizes = (int(compile_term(hi, env)(b)) - int(compile_term(lo, env)(b)) + 1 for lo, hi in join.small or ())
+    return join.small is not None and math.prod(max(n, 0) for n in sizes) <= BROADCAST_ROWS
 
 
 def _apply(fr: _Frontier, steps: tuple, env: dict, qb: _Query, b: dict,
            carry: Optional[dict] = None) -> None:
-    """Extend the relation ``fr`` by plan steps; if ``qb.broadcast``, a
-    join without key equalities broadcasts a small source (``_small``).
-    A join that reads a filled array of ``qb.reads`` inside its fill
-    (``plan.fill_keys``) joins the update's groups instead
-    (``_filled_join``). A group-by adds the columns ``carry`` names,
-    each an expression whose value is the same in every row of a
-    group."""
+    """Extend the relation ``fr`` by plan steps; a join without key
+    equalities broadcasts a small source (``_small``), and a join that
+    reads a filled array inside its fill (``Join.at``) joins the
+    update's groups instead (``_filled_join``). A group-by adds the
+    columns ``carry`` names, each an expression whose value is the same
+    in every row of a group."""
     carry = carry or {}
     for st in steps:
-        filled = _reads_fill(st, fr.steps, qb)
-        fr.steps.append(st)
-        if filled:
-            _filled_join(fr, st.source.names, *filled, env, qb)
+        if isinstance(st, Join) and st.at is not None:
+            _filled_join(fr, st, env, qb)
         elif isinstance(st, Join):
             g = _source_sql(st.source, env, qb, b)
             # the source's alias is the last one _source_sql took
-            hint = f"/*+ BROADCAST(`_q{qb.n}`) */ " if qb.broadcast and _small(st, env, b) else ""
+            hint = f"/*+ BROADCAST(`_q{qb.n}`) */ " if _small(st, env, b) else ""
             fr.cols = fr.cols + list(st.source.names)
             on = " AND ".join(to_sql(c, env) for c in st.conds)
             fr.select(qb, [_id(c) for c in fr.cols],
@@ -532,36 +519,27 @@ def _apply(fr: _Frontier, steps: tuple, env: dict, qb: _Query, b: dict,
             raise BackendError(f"outer lookup outside an array update: {st.var}")
 
 
-def _reads_fill(st, before: list, qb: _Query):
-    """``(keys, w)`` if the plan step ``st`` joins an array that the
-    fill and update ``w`` of ``qb.reads`` assigned, at ``keys`` inside
-    the fill (``plan.fill_keys``); else None."""
-    w = qb.reads.get(st.source.array) if isinstance(st, Join) and isinstance(st.source, Scan) else None
-    keys = fill_keys(st, range_fill(w.fill), before) if w is not None and w.fill is not None else None
-    return None if keys is None else (keys, w)
-
-
-def _filled_join(fr: _Frontier, names: tuple, keys: tuple, w, env: dict, qb: _Query) -> None:
-    """Join ``fr`` to the array ``X`` that the fill and update ``w``
-    assigned, read at ``keys``, which lie inside the fill
-    (``plan.fill_keys``), binding ``names``: ``X`` there is the update's
-    group at the key where one is, else the fill. So ``fr LEFT JOIN``
-    the groups, the value coalesced with the fill's, as ``_merge_sql``
-    would merge them into the fill, with no scan of ``X``."""
-    fill = range_fill(w.fill)
+def _filled_join(fr: _Frontier, j: Join, env: dict, qb: _Query) -> None:
+    """Join ``fr`` to the array ``X`` that the fill and update
+    ``j.reads`` assigned, read at ``j.at``, which lie inside the fill
+    (``plan.fill_keys``), binding the names of ``j``'s source: ``X``
+    there is the update's group at the key where one is, else the fill.
+    So ``fr LEFT JOIN`` the groups, the value coalesced with the fill's,
+    as ``_merge_sql`` would merge them into the fill, with no scan of
+    ``X``."""
+    w, keys, names = j.reads, j.at, j.source.names
+    fill, p = w.fill, w.plan
     vt = _col_types(qb.types[w.name])[-1]
 
     def filled(at):  # the fill's value at the keys ``at``, typed as _fill_sql types it
         v = subst(fill.value, dict(zip(fill.keys, at)))
         return f"coalesce({to_sql(v, env)}, CAST(NULL AS {vt}))"
 
-    p, look = own_lookup(plan(w.term.new), w.name)
     g = _lower(p.steps, env, qb, {})
-    *gk, gv = p.head.items
-    g.select(qb, g.with_cols({look.var: f"coalesce({filled(gk)}, {_lit(look.default)})"}))
-    cols = [_id(f"_gk_{w.name}_{j}") for j in range(len(gk))]
+    *gk, gv = _groups(g, p.head, w.look, filled(p.head.items[:-1]), env, qb)
+    cols = [_id(f"_gk_{w.name}_{i}") for i in range(len(gk))]
     val = _id(f"_gv_{w.name}")
-    g.select(qb, [f"{to_sql(k, env)} AS {c}" for k, c in zip(gk, cols)] + [f"{to_sql(gv, env)} AS {val}"])
+    g.select(qb, [f"{k} AS {c}" for k, c in zip(gk, cols)] + [f"{gv} AS {val}"])
     on = " AND ".join(f"({to_sql(k, env)} = {c})" for k, c in zip(keys, cols))
     fr.select(qb, [_id(c) for c in fr.cols] + [f"{to_sql(k, env)} AS {_id(n)}" for k, n in zip(keys, names)]
               + [f"coalesce({val}, {filled(keys)}) AS {_id(names[-1])}"], f" LEFT JOIN {g.src} ON {on}")
@@ -595,15 +573,13 @@ def _merge_sql(t: A.TArray, old, fr: _Frontier, steps: tuple, head, look, env: d
 
     The value is the rows' where a row is present, else the old one. For
     an update, ``look`` is its lookup ``w <~ X[k] ?? d`` (rule 15a,
-    ``plan.own_lookup``): ``w`` is ``coalesce(old._v, d)``, and ``d``
-    over no old side."""
+    ``TAssign.look``): ``w`` is ``coalesce(old._v, d)``, and ``d`` over
+    no old side (``_groups``)."""
     _apply(fr, steps, env, qb, b)
-    default = _lit(look.default) if look else ""
     if old is None:
         types = _col_types(t)
-        if look:
-            fr.select(qb, fr.with_cols({look.var: f"coalesce(CAST(NULL AS {types[-1]}), {default})"}))
-        return _fresh_sql(types, [to_sql(x, env) for x in head.items], fr.src)
+        return _fresh_sql(types, _groups(fr, head, look, f"CAST(NULL AS {types[-1]})", env, qb), fr.src)
+    default = _lit(look.default) if look else ""
     tag = look.var if look else ""
     ocols = _key_cols(t.ndims, f"_lk_{tag}_", f"_lv_{tag}")
     filled = isinstance(old, str)
@@ -662,14 +638,13 @@ def _fill_sql(st, t: A.TArray, env: dict, qb: _Query) -> str:
     ranges (``_range_rows``), in ``V``'s column types. If ``e`` is an
     update (rule 15a, ``plan.fills_before``), those rows are the old
     side of its merge instead of ``V``."""
-    fill = range_fill(st.fill)
+    fill = st.fill
     bounds = [tuple(int(compile_term(x, env)({})) for x in lh) for lh in fill.bounds]
     fr = _range_rows(list(fill.keys), bounds, qb)
     rows = _fresh_sql(_col_types(t), [_id(k) for k in fill.keys] + [to_sql(fill.value, env)], fr.src)
-    if st.fill != st.term.new:
-        p, look = own_lookup(plan(st.term.new), st.name)
-        upd, steps, head, b = _relation(p, env, qb)
-        rows = _merge_sql(t, rows, upd, steps, head, look, env, qb, b)
+    if st.plan is not None:
+        upd, steps, head, b = _relation(st.plan, env, qb)
+        rows = _merge_sql(t, rows, upd, steps, head, st.look, env, qb, b)
     if st.fresh or st.inside:
         return rows
     inside = " AND ".join(f"({_id(c)} >= {_lit(lo)} AND {_id(c)} <= {_lit(hi)})"
@@ -720,7 +695,7 @@ def _group_scalars(gp, stmts, env: dict, spark: SparkSession) -> dict:
     rows by ``FILTER (WHERE …)``, and a count of those rows per member;
     a member with none leaves its destination unchanged. Returns the
     new values."""
-    qb = _Query(spark, any(st.broadcast for st in stmts))
+    qb = _Query(spark)
     fr = _lower(gp.shared, env, qb, {})
     # each member's conditions once per row, as a column: its aggregates
     # and its count all filter on them
@@ -757,7 +732,7 @@ def _group_arrays(gp, stmts, env: dict, spark: SparkSession, types: dict) -> dic
     otherwise. Each member's split then continues like an unfused
     statement, with its merge into the destination. Returns the new
     arrays."""
-    qb = _Query(spark, any(st.broadcast for st in stmts))
+    qb = _Query(spark)
     fr = _lower(gp.shared, env, qb, {})
     tags = ", ".join(str(i) for i in range(len(gp.members)))
     fr.select(qb, [_id(c) for c in fr.cols] + [f"explode(array({tags})) AS `_tag`"])
@@ -779,8 +754,7 @@ def _group_arrays(gp, stmts, env: dict, spark: SparkSession, types: dict) -> dic
     what = "; ".join(show(st.term) for st in stmts)
     grouped = qb.run(sql, what).localCheckpoint(eager=True)
     out = {}
-    for i, (st, m) in enumerate(zip(stmts, gp.members)):
-        m, look = own_lookup(m, st.name)
+    for i, (st, m, look) in enumerate(zip(stmts, gp.members, gp.looks)):
         _, (g, *rest) = _own_conds(m)
         mq = _Query(spark)
         split = _Frontier(mq.scan(grouped, grouped.columns), list(grouped.columns))
@@ -808,12 +782,10 @@ class _Spark:
         return empty_array(self.spark, t)
 
     def array(self, st, t: A.TArray, env: dict) -> DataFrame:
-        # a query that reads another's groups runs its joins too
-        qb = _Query(self.spark, st.broadcast or any(w.broadcast for w in st.reads), st.reads, self.types)
+        qb, look = _Query(self.spark, self.types), st.look
         if st.fill is not None:
             return qb.run(_fill_sql(st, t, env, qb), show(st.term))
-        p, look = own_lookup(plan(st.term.new), st.name)
-        res = _relation(p, env, qb)
+        res = _relation(st.plan, env, qb)
         if res is None:  # X ⊲ ∅ = X; an unread TInit left no X
             return env[st.name] if st.name in env else self.empty(t)
         fr, steps, head, b = res
@@ -826,9 +798,9 @@ class _Spark:
         old = None if st.fresh else _array(env, st.name)
         return qb.run(_merge_sql(t, old, fr, steps, head, look, env, qb, b), show(st.term))
 
-    def scalar(self, comp: Comp, env: dict, broadcast: bool = False) -> list:
-        qb = _Query(self.spark, broadcast)
-        res = _relation(plan(comp), env, qb)
+    def scalar(self, p: Plan, env: dict, what: str) -> list:
+        qb = _Query(self.spark)
+        res = _relation(p, env, qb)
         if res is None:
             return []
         fr, steps, head, b = res
@@ -838,7 +810,7 @@ class _Spark:
         sql = f"SELECT {to_sql(head, env)} AS `_v` FROM {fr.src}"
         # not limit(2): it scans partitions incrementally and launches
         # a second job whenever the first partition holds no row
-        return [py_value(r["_v"]) for r in qb.run(sql, show(comp)).collect()]
+        return [py_value(r["_v"]) for r in qb.run(sql, what).collect()]
 
     def group(self, gp, stmts, env: dict, types: dict) -> dict:
         return (_group_scalars(gp, stmts, env, self.spark) if gp.total else

@@ -1,5 +1,5 @@
 """End-to-end DIABLO pipeline: parse → check → translate → normalize →
-optimize → (mark unread inits) → fuse → execute on Spark.
+optimize → plan → (mark unread inits) → fuse → execute on Spark.
 
 ``compile_program`` is the compile-time half (what Table 1 measures);
 ``run_program`` executes the compiled target code over a state
@@ -15,7 +15,7 @@ from .backend import run_code
 from .normalize import normalize_code
 from .optimize import optimize_code
 from .parser import parse
-from .plan import fuse_code, unread_inits
+from .plan import fuse_code, plan_code, unread_inits
 from .restrictions import check_program
 from .translate import translate_program
 
@@ -42,14 +42,15 @@ def compile_program(
     assignment's groups are lowered as hand-written programs do them
     (``plan.fuse_code``);
     ``fuse=False`` keeps the paper's one query per statement. Either
-    way, an empty array that nothing reads is not built
+    way, every comprehension is planned here, once (``plan.plan_code``),
+    and an empty array that nothing reads is not built
     (``plan.unread_inits``).
     """
     ast = parse(src)
     check_program(ast)
     code, types = translate_program(ast, extern_types)
     code = normalize_code(code)
-    code = unread_inits(optimize_code(code))
+    code = unread_inits(plan_code(optimize_code(code)))
     if fuse:
         code = fuse_code(code)
     return Compiled(code, types, src)

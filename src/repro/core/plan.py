@@ -24,15 +24,20 @@ cross join plus a filter. Key-pattern names rebound by a group-by are
 bound to the same values before the group-by, so key filters commute
 too.
 
+``plan_code`` plans target code once, at compile time: it attaches to
+each assignment and each ``while`` test its plan (``TAssign.plan``,
+``TWhile.plan``), an update's own lookup split off (``own_lookup``,
+``TAssign.look``); the engines run these plans and plan nothing.
 ``plan_group`` lowers sibling comprehensions that start with the same
 scan and joins to those shared steps plus each one's own; ``fuse_code``
-groups the target-code assignments it can serve into a ``TGroup``, and
-marks the range fills, the keyless joins with a small side and the
-reads of another assignment's groups that the Spark engine lowers the
-way hand-written programs do (``TAssign.fill``, ``inside``,
-``broadcast`` and ``reads``). ``unread_inits`` marks the ``TInit``s
-whose empty array no statement reads. ``exec_code`` runs target code
-(Section 3.8) on either engine.
+groups the target-code assignments it can serve into a ``TGroup`` with
+that ``GroupPlan``, and marks the range fills (``TAssign.fill`` and
+``inside``), the keyless joins with a small side (``Join.small``) and
+the joins that read another assignment's groups (``Join.reads``), which
+the Spark engine lowers the way hand-written programs do.
+``unread_inits`` marks the ``TInit``s whose empty array no statement
+reads. ``exec_code`` runs planned target code (Section 3.8) on either
+engine.
 """
 from __future__ import annotations
 
@@ -102,12 +107,22 @@ class Range:
 class Join:
     """Join with ``source`` on ``conds``, in qualifier order; ``keys``
     are the equalities among them as ``(left side, source side)`` pairs,
-    ``residual`` the rest."""
+    ``residual`` the rest. ``fuse_code`` marks the joins that Spark lowers
+    as a hand-written program would (seq ignores the marks): ``small``,
+    the ``(lo, hi)`` of each key of a keyless join's source that
+    ``inRange`` bounds (``join_bounds``), which is broadcast if few rows;
+    ``reads``, the assignment whose groups the join reads instead of its
+    source: a fill and its update, read at ``at``, inside the fill
+    (``fill_keys``), or, without ``at``, the fresh group-by just before,
+    whose groups replace the scan before the join too (``carried_join``)."""
 
     source: Union[Scan, Range]
     conds: tuple
     keys: tuple
     residual: tuple
+    small: Optional[tuple] = None
+    reads: Optional[object] = None
+    at: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -415,26 +430,22 @@ def carried_join(reader: Plan, writer: Plan, name: str) -> Optional[int]:
     return i if set(j.keys) == on and len(j.conds) == len(on) else None
 
 
-def fills_before(fill: Fill, name: str, comp: Comp) -> bool:
-    """Whether the update ``comp`` (rule 15a) of the array ``name`` can
-    be lowered with a range ``fill`` of that array that comes before
-    it: it reads the array only by its lookup, and an ``inRange``
-    on the fill's bounds (or a range over them) constrains every key it
-    groups by, so every key it updates was filled."""
-    if state_refs(comp).count(name) != 1:
-        return False
-    p, look = own_lookup(plan(comp), name)
-    if look is None or p.driver or not p.steps:
+def fills_before(fill: Fill, st: TAssign) -> bool:
+    """Whether the update ``st`` (rule 15a) of an array can be lowered
+    with a range ``fill`` of that array that comes before it: it reads
+    the array only by its lookup, and an ``inRange`` on the fill's
+    bounds (or a range over them) constrains every key it groups by, so
+    every key it updates was filled."""
+    p = st.plan
+    if st.look is None or p.driver or not p.steps or state_refs(st.term.new).count(st.name) != 1:
         return False
     keys = p.head.items[:-1]
-    groups = [i for i, st in enumerate(p.steps) if isinstance(st, GroupBy)]
+    groups = [i for i, s in enumerate(p.steps) if isinstance(s, GroupBy)]
     if len(keys) != len(fill.keys) or len(groups) != 1:
         return False
     g, bs = p.steps[groups[0]], _bounded(p.steps[:groups[0]])
     for k, b in zip(keys, fill.bounds):
-        if not (isinstance(k, Var) and k.name in g.names):
-            return False
-        key = g.keys[g.names.index(k.name)]
+        key = g.keys[g.names.index(k.name)] if isinstance(k, Var) and k.name in g.names else None
         if not (isinstance(key, Var) and b in bs.get(key.name, ())):
             return False
     return True
@@ -450,11 +461,13 @@ class GroupPlan:
     ``Filter`` (if it has conditions), then its ``GroupBy`` or ``Total``,
     whose terms read only the names ``shared`` binds, then the rest of
     its steps. ``total`` tells which of the two reductions they all end
-    with."""
+    with. ``looks`` holds each member's own lookup (rule 15a,
+    ``own_lookup``) where ``fuse_code`` has split it off, else None."""
 
     shared: tuple
     members: tuple
     total: bool
+    looks: tuple
 
 
 def _canonical(c: Comp) -> Comp:
@@ -528,7 +541,7 @@ def plan_group(comps) -> Optional[GroupPlan]:
     if len(kinds) > 1:
         return None
     return GroupPlan(first[:n], tuple(Plan((), o, p.head) for o, p in zip(own, plans)),
-                     kinds.pop())
+                     kinds.pop(), (None,) * len(plans))
 
 
 def member_comp(st: TAssign):
@@ -542,46 +555,25 @@ def member_comp(st: TAssign):
     return None
 
 
-def _fits(group: list, st: TAssign) -> bool:
-    """Whether ``st`` can join the assignments ``group``: a destination
-    of its own, none of theirs read by it nor its read by them, its
-    comprehension of the same kind (a scalar's ``Total``, an array's
-    ``GroupBy``), and one ``GroupPlan`` for all of them."""
-    names = {g.name for g in group}
-    if st.fill is not None or group[0].fill is not None:
-        return False
-    if st.name in names or names & set(state_refs(st.term)):
-        return False
-    if any(st.name in state_refs(g.term) for g in group):
-        return False
-    comps = [member_comp(s) for s in group + [st]]
-    if any(c is None for c in comps):
-        return False
-    try:
-        gp = plan_group(comps)
-    except PlanError:  # left alone, running it reports the error
-        return False
-    return gp is not None and all(
-        gp.total == isinstance(s.term, Comp) for s in group + [st]
-    )
-
-
-def _plan_of(comp) -> Optional[Plan]:
-    """The plan of a comprehension, None for None or one that does not
-    plan."""
-    try:
-        return plan(comp) if comp is not None else None
-    except PlanError:  # left alone, running it reports the error
+def _fits(group: list, st: TAssign) -> Optional[GroupPlan]:
+    """The ``GroupPlan`` of the assignments ``group`` and ``st``, if
+    ``st`` can join them: a destination of its own, none of theirs read
+    by it nor its read by them, its comprehension of the same kind (a
+    scalar's ``Total``, an array's ``GroupBy``), and one ``GroupPlan``
+    for all of them; else None."""
+    names, comps = {g.name for g in group}, [member_comp(s) for s in group + [st]]
+    if (st.fill is not None or group[0].fill is not None or st.name in names
+            or names & set(state_refs(st.term)) or any(st.name in state_refs(g.term) for g in group)
+            or any(c is None for c in comps)):
         return None
+    gp = plan_group(comps)
+    return gp if gp is not None and all(gp.total == isinstance(s.term, Comp) for s in group + [st]) else None
 
 
-def _broadcast(st: TAssign) -> TAssign:
-    """``st`` with ``broadcast`` set if a join of its comprehension has
-    no key equalities and a source that ``inRange`` bounds
-    (``join_bounds``)."""
-    p = _plan_of(member_comp(st))
-    small = p is not None and any(isinstance(s, Join) and join_bounds(s) is not None for s in p.steps)
-    return replace(st, broadcast=small)
+def _broadcast(steps: tuple) -> tuple:
+    """Plan ``steps`` with each join marked that may broadcast its source
+    (``Join.small``, ``join_bounds``)."""
+    return tuple(replace(s, small=join_bounds(s)) if isinstance(s, Join) else s for s in steps)
 
 
 def _open_fill(out: list, name: str) -> Optional[int]:
@@ -593,7 +585,7 @@ def _open_fill(out: list, name: str) -> Optional[int]:
     for j in range(len(out) - 1, -1, -1):
         st = out[j]
         if isinstance(st, TAssign) and st.name == name:
-            alone = st.fill is not None and st.fill is member_comp(st)
+            alone = st.fill is not None and st.plan is None
             return j if alone and not later & set(state_refs(st.term)) else None
         if not isinstance(st, (TAssign, TInit)) or st.name == name or (
                 isinstance(st, TAssign) and name in state_refs(st.term)):
@@ -613,13 +605,13 @@ def _fill(code: list) -> list:
     for st in code:
         new = member_comp(st) if isinstance(st, TAssign) else None
         j = _open_fill(out, st.name) if new is not None else None
-        if j is not None and fills_before(range_fill(out[j].fill), st.name, new):
+        if j is not None and fills_before(out[j].fill, st):
             fill = out.pop(j)
             out.append(replace(st, fresh=fill.fresh, fill=fill.fill))
         elif new is not None and isinstance(st.term, Merge) and range_fill(new) is not None:
-            out.append(replace(st, fill=new))
+            out.append(replace(st, fill=range_fill(new), plan=None))
         elif isinstance(st, TWhile):
-            out.append(TWhile(st.cond, _fill(st.body)))
+            out.append(replace(st, body=_fill(st.body)))
         else:
             out.append(st)
     return out
@@ -628,7 +620,7 @@ def _fill(code: list) -> list:
 def _each(code: list, f) -> list:
     """``code`` with each statement but a loop replaced by ``f`` of it,
     in order, loop bodies included."""
-    return [TWhile(st.cond, _each(st.body, f)) if isinstance(st, TWhile) else f(st)
+    return [replace(st, body=_each(st.body, f)) if isinstance(st, TWhile) else f(st)
             for st in code]
 
 
@@ -650,7 +642,7 @@ def _inside(code: list) -> set:
     names, out = assigned(code), set()
     for name in {st.name for st in statements(code) if isinstance(st, TInit)}:
         sts = [st for st in statements(code) if isinstance(st, TAssign) and st.name == name]
-        ranges = {range_fill(st.fill).bounds if st.fill is not None else None for st in sts}
+        ranges = {st.fill.bounds if st.fill is not None else None for st in sts}
         if len(ranges) != 1 or None in ranges:
             continue
         (rs,) = ranges
@@ -668,54 +660,77 @@ def _pairs(code: list) -> set:
     names, out = assigned(code), set()
     for name in names:
         sts = [st for st in statements(code) if isinstance(st, TAssign) and st.name == name]
-        if len(sts) == 1 and sts[0].fill is not None and sts[0].fill != sts[0].term.new:
+        if len(sts) == 1 and sts[0].fill is not None and sts[0].plan is not None:
             (st,) = sts
-            if not (set(state_refs(st.fill) + state_refs(st.term.new)) - {name}) & names:
+            fill = [st.fill.value, *sum(st.fill.bounds, ()), st.term.new]
+            if not ({n for t in fill for n in state_refs(t)} - {name}) & names:
                 out.add(name)
     return out
 
 
-def _reads(st: TAssign, ready: dict, prev) -> tuple:
-    """The assignments whose groups the array assignment ``st`` can read
-    instead of their destinations: the fills and updates in ``ready``
-    that one of its joins reads inside the fill (``fill_keys``), and
-    ``prev``, the statement just before it, if that is a fresh group-by
-    whose groups carry what ``st`` joins it to (``carried_join``)."""
-    comp = member_comp(st)
-    p = _plan_of(comp) if isinstance(st.term, Merge) else None
+def _reads(st: TAssign, ready: dict, prev) -> TAssign:
+    """The array assignment ``st`` with each join marked that reads
+    another assignment's groups instead of its source (``Join.reads``):
+    a join inside the fill (``fill_keys``) of a fill and update in
+    ``ready``, and the join to ``prev``, the statement just before it,
+    if that is a fresh group-by whose groups carry what ``st`` joins it
+    to (``carried_join``)."""
+    p = st.plan if isinstance(st.term, Merge) else None
     if p is None:
-        return ()
-    out = [ready[j.source.array] for i, j in enumerate(p.steps)
-           if isinstance(j, Join) and isinstance(j.source, Scan) and j.source.array in ready
-           and fill_keys(j, range_fill(ready[j.source.array].fill), p.steps[:i]) is not None]
-    w = member_comp(prev) if isinstance(prev, TAssign) else None
-    pw = _plan_of(w) if w is not None and prev.fresh and prev.fill is None and st.fill is None else None
-    if pw is not None and state_refs(comp).count(prev.name) == 1:
-        # the group-by reads its own array at most by its lookup
-        pw, look = own_lookup(pw, prev.name)
-        if state_refs(w).count(prev.name) == (look is not None) and carried_join(p, pw, prev.name) is not None:
-            out.append(prev)
-    return tuple({id(a): a for a in out}.values())
+        return st
+    steps = list(p.steps)
+    for i, j in enumerate(steps):
+        w = ready.get(j.source.array) if isinstance(j, Join) and isinstance(j.source, Scan) else None
+        at = fill_keys(j, w.fill, p.steps[:i]) if w is not None else None
+        if at is not None:
+            steps[i] = replace(j, reads=w, at=at)
+    if (isinstance(prev, TAssign) and prev.plan is not None and prev.fresh and prev.fill is None
+            and st.fill is None and state_refs(st.term.new).count(prev.name) == 1
+            # the group-by reads its own array at most by its lookup
+            and state_refs(member_comp(prev)).count(prev.name) == (prev.look is not None)):
+        i = carried_join(p, prev.plan, prev.name)
+        if i is not None:
+            steps[i] = replace(steps[i], reads=prev)
+    return replace(st, plan=replace(p, steps=tuple(steps)))
 
 
 def _read_groups(code: list, pairs: set, ready: dict) -> list:
-    """Mark the assignments of a block that read other assignments'
-    groups (``TAssign.reads``, ``_reads``). ``ready`` maps each array of
-    ``pairs`` whose pair has run, with no ``TInit`` of it since, to that
-    pair; a loop's body sees only those that the body does not
-    assign."""
+    """Mark the joins of a block's assignments that read other
+    assignments' groups (``Join.reads``, ``_reads``). ``ready`` maps
+    each array of ``pairs`` whose pair has run, with no ``TInit`` of it
+    since, to that pair; a loop's body sees only those that the body
+    does not assign."""
     out: list = []
     ready = dict(ready)
     for st in code:
         if isinstance(st, TWhile):
             ready = {n: w for n, w in ready.items() if n not in assigned(st.body)}
-            st = TWhile(st.cond, _read_groups(st.body, pairs, ready))
+            st = replace(st, body=_read_groups(st.body, pairs, ready))
         elif isinstance(st, TInit):
             ready.pop(st.name, None)
         elif isinstance(st, TAssign):
-            st = replace(st, reads=_reads(st, ready, out[-1] if out else None))
+            st = _reads(st, ready, out[-1] if out else None)
             if st.name in pairs:
                 ready[st.name] = st
+        out.append(st)
+    return out
+
+
+def plan_code(code: list) -> list:
+    """``code`` with each comprehension planned, once: each assignment's
+    (``TAssign.plan``, an update's own lookup split off into
+    ``TAssign.look``) and each ``while`` test's (``TWhile.plan``). A
+    comprehension that does not plan raises ``PlanError`` here."""
+    out: list = []
+    for st in code:
+        if isinstance(st, TWhile):
+            st = replace(st, body=plan_code(st.body),
+                         plan=plan(st.cond) if isinstance(st.cond, Comp) else None)
+        elif isinstance(st, TAssign) and member_comp(st) is not None:
+            p, look = plan(member_comp(st)), None
+            if isinstance(st.term, Merge):
+                p, look = own_lookup(p, st.name)
+            st = replace(st, plan=p, look=look)
         out.append(st)
     return out
 
@@ -724,37 +739,37 @@ def unread_inits(code: list) -> list:
     """``code`` with ``unread`` set on each ``TInit`` whose empty array
     no statement reads: the next statement of its block that mentions
     the array is a fresh assignment to it that reads it at most by its
-    own lookup (``own_lookup``), loop bodies included."""
+    own lookup (``TAssign.look``), loop bodies included."""
     out: list = []
     for i, st in enumerate(code):
         if isinstance(st, TWhile):
-            st = TWhile(st.cond, unread_inits(st.body))
+            st = replace(st, body=unread_inits(st.body))
         elif isinstance(st, TInit):
             nxt = next((s for s in code[i + 1:] if _mentions(s, st.name)), None)
             comp = member_comp(nxt) if isinstance(nxt, TAssign) and nxt.fresh else None
             n = state_refs(comp).count(st.name) if comp is not None else -1
-            p = _plan_of(comp) if n == 1 else None
-            if n == 0 or p is not None and own_lookup(p, st.name)[1] is not None:
+            if n == 0 or n == 1 and nxt.name == st.name and nxt.look is not None:
                 st = replace(st, unread=True)
         out.append(st)
     return out
 
 
 def fuse_code(code: list) -> list:
-    """Lower a block for the Spark engine the way a hand-written program
-    would:
+    """Lower a planned block for the Spark engine the way a hand-written
+    program would:
 
     * mark its range fills (``_fill``) and its joins that may broadcast
-      (``_broadcast``);
+      (``Join.small``);
     * mark the fills whose array holds no key outside them
-      (``TAssign.inside``, ``_inside``), and the assignments that read
-      another's groups instead of its array (``TAssign.reads``,
+      (``TAssign.inside``, ``_inside``), and the joins that read
+      another assignment's groups instead of its array (``Join.reads``,
       ``_read_groups``);
     * group each run of consecutive assignments that one scan can serve
       (``_fits``) into a ``TGroup``, in ``while`` bodies too. Sources
       that are ranges are never grouped: a range costs nothing to
       generate again."""
-    code = _each(_fill(code), lambda st: _broadcast(st) if isinstance(st, TAssign) else st)
+    code = _each(_fill(code), lambda st: replace(st, plan=replace(st.plan, steps=_broadcast(st.plan.steps)))
+                 if isinstance(st, TAssign) and st.plan is not None else st)
     inside = _inside(code)
     code = _each(code, lambda st: replace(st, inside=True)
                  if isinstance(st, TAssign) and st.name in inside else st)
@@ -763,24 +778,31 @@ def fuse_code(code: list) -> list:
 
 def _group(code: list) -> list:
     """Group each run of consecutive assignments of a block that one
-    scan can serve (``_fits``) into a ``TGroup``."""
+    scan can serve (``_fits``) into a ``TGroup``, with their
+    ``GroupPlan``: its joins marked that may broadcast (``Join.small``),
+    and each member's own lookup split off."""
     out: list = []
     run: list = []
+    gp = None
 
     def close():
-        if run:
-            out.append(run[0] if len(run) == 1 else TGroup(list(run)))
-            run.clear()
+        if len(run) > 1:
+            members, looks = zip(*(own_lookup(m, s.name) for m, s in zip(gp.members, run)))
+            run[:] = [TGroup(run[:], replace(gp, shared=_broadcast(gp.shared), members=members,
+                                             looks=looks))]
+        out.extend(run)
+        run.clear()
 
     for st in code:
-        if isinstance(st, TAssign) and run and _fits(run, st):
+        if isinstance(st, TAssign) and run and (g := _fits(run, st)) is not None:
             run.append(st)
+            gp = g
             continue
         close()
         if isinstance(st, TAssign):
             run.append(st)
         elif isinstance(st, TWhile):
-            out.append(TWhile(st.cond, _group(st.body)))
+            out.append(replace(st, body=_group(st.body)))
         else:
             out.append(st)
     close()
@@ -852,20 +874,20 @@ def run_driver(p: Plan, env: dict, lookup) -> Optional[dict]:
 
 
 # ------------------------------------------------------ statement execution
-def _scalar(engine, term, env: dict, broadcast: bool = False) -> list:
-    """The elements of a scalar's new bag or a loop's test: none leaves
-    the scalar as it is and ends the loop, more than one is an error. A
-    term without generators is not a comprehension: no engine needed."""
-    vs = (engine.scalar(term, env, broadcast) if isinstance(term, Comp)
-          else [compile_term(term, env)({})])
+def _scalar(engine, term, p: Optional[Plan], env: dict) -> list:
+    """The elements of a scalar's new bag or a loop's test, whose plan is
+    ``p``: none leaves the scalar as it is and ends the loop, more than
+    one is an error. A term without generators is not a comprehension:
+    no engine needed."""
+    vs = engine.scalar(p, env, show(term)) if p is not None else [compile_term(term, env)({})]
     if len(vs) > 1:
         raise engine.error(f"scalar assignment from a bag with more than one element: {show(term)}")
     return vs
 
 
 def exec_code(code, env: dict, engine, types: dict) -> dict:
-    """Execute target code on ``engine``, updating and returning the
-    environment. The engine gives:
+    """Execute planned target code (``plan_code``) on ``engine``,
+    updating and returning the environment. The engine gives:
 
     * ``empty(t)``: a new empty array of type ``t``; an ``unread``
       ``TInit`` builds none, and drops the array from ``env``;
@@ -874,8 +896,8 @@ def exec_code(code, env: dict, engine, types: dict) -> dict:
       14c and 15a), with a head of ``t.ndims`` keys and a value, after
       the range fill ``st.fill`` if there is one; if ``st.fresh``, the
       old array is empty, whether ``env`` holds it or not;
-    * ``scalar(comp, env, broadcast)``: the elements of a comprehension
-      (``broadcast``: see ``TAssign.broadcast``);
+    * ``scalar(p, env, what)``: the elements of the comprehension
+      ``what`` (its text, for errors), whose plan is ``p``;
     * ``group(gp, stmts, env, types)``: the new values of a ``TGroup``'s
       destinations, from its ``GroupPlan``; each member reads the state
       from before the group;
@@ -891,23 +913,21 @@ def exec_code(code, env: dict, engine, types: dict) -> dict:
         elif isinstance(st, TInit):
             env[st.name] = engine.empty(st.type)
         elif isinstance(st, TAssign):
-            t = types.get(st.name)
+            new, t = member_comp(st), types.get(st.name)
+            if new is not None and st.plan is None and st.fill is None:
+                raise engine.error(f"an assignment that was not planned (plan_code): {show(st.term)}")
             if isinstance(t, A.TArray):
-                new = member_comp(st)
                 if not (isinstance(st.term, Merge) and new is not None and isinstance(new.head, TupleT)
                         and len(new.head.items) == t.ndims + 1):
                     raise engine.error(f"array assignment that is no merge of keys and a value "
                                        f"into {st.name}: {show(st.term)}")
                 env[st.name] = engine.array(st, t, env)
             else:
-                vs = _scalar(engine, st.term, env, st.broadcast)
+                vs = _scalar(engine, st.term, st.plan, env)
                 if vs:
                     env[st.name] = vs[0]
         elif isinstance(st, TGroup):
-            gp = plan_group([member_comp(s) for s in st.stmts])
-            if gp is None:
-                raise engine.error("a group of statements that share no scan")
-            env.update(engine.group(gp, st.stmts, env, types))
+            env.update(engine.group(st.plan, st.stmts, env, types))
         elif isinstance(st, TWhile):
             carried = carried_arrays(st.body, types)
             test_reads = bool(set(state_refs(st.cond)) & set(carried))
@@ -915,7 +935,7 @@ def exec_code(code, env: dict, engine, types: dict) -> dict:
             while True:
                 if ran and test_reads:
                     engine.boundary(env, carried)
-                test = _scalar(engine, st.cond, env)
+                test = _scalar(engine, st.cond, st.plan, env)
                 if not (test and test[0]):
                     break
                 if ran and not test_reads:

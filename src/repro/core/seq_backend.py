@@ -3,17 +3,19 @@
 The paper's Table 2 compares the *same* DIABLO-translated program run
 on Scala parallel collections versus plain sequential lists. The
 analogue here: the same target code that the Spark backend executes,
-lowered by the same ``plan.plan``, is evaluated with plain Python
+with the same plans (``plan.plan_code``), is evaluated with plain Python
 collections — arrays are dicts, rows are dicts of bound variables, joins
-are hash joins on their equalities, group-bys are dict folds. The
+are hash joins on their equalities, group-bys are dict folds. It ignores
+the marks that only change how Spark lowers a step (``plan.Join``). The
 literal loop interpreter (``interp.py``) stays the ground truth; this
 backend is the sequential *bulk* evaluation, run by ``plan.exec_code``.
 """
 from __future__ import annotations
 
+import itertools
 from functools import reduce
 
-from .comprehension import Comp
+from .comprehension import Comp, TupleT, Var
 from .monoids import BIN
 from .plan import (
     Filter,
@@ -21,12 +23,12 @@ from .plan import (
     Join,
     Let,
     Lookup,
+    Plan,
     Scan,
     Total,
     bind,
     compile_term,
     exec_code,
-    plan,
     run_driver,
 )
 
@@ -66,17 +68,15 @@ def _folds(aggs, env) -> list:
     return [(n, fold(BIN[m], compile_term(e, env))) for n, m, e in aggs]
 
 
-def eval_comp(comp: Comp, env: dict):
-    """Evaluate a comprehension sequentially: its rows (dicts) and the
-    head to evaluate over them, or None for an empty bag. A
-    generator-free comprehension is one row of driver bindings."""
-    p = plan(comp)
+def _rows(p: Plan, env: dict, look=None):
+    """The rows (dicts) of a plan, then of its own lookup ``look`` if
+    any, or None for an empty bag. A generator-free plan is one row of
+    driver bindings."""
     b = run_driver(p, env, lambda a, k, d: _get(env[a], k, d))
     if b is None:
         return None
-    if not p.steps:
-        return [b], p.head
-    return _run_steps(_source(p.steps[0], env, b), p.steps[1:], env, b), p.head
+    rows = _run_steps(_source(p.steps[0], env, b), p.steps[1:], env, b) if p.steps else [b]
+    return _run_steps(rows, (look,) if look else (), env, b)
 
 
 def _run_steps(rows: list, steps: tuple, env: dict, b: dict) -> list:
@@ -142,20 +142,23 @@ class _Seq:
         return {}
 
     def array(self, st, t, env: dict) -> dict:
-        if st.fresh:
-            env = {**env, st.name: {}}
-        if st.fill is not None and st.fill != st.term.new:  # V := (V ⊲ fill) ⊲ e
-            env = {**env, st.name: self._merge(st.name, st.fill, t, env)}
-        return self._merge(st.name, st.term.new, t, env)
+        env = {**env, st.name: {}} if st.fresh else env
+        if st.fill is not None:  # V := (V ⊲ fill) ⊲ e
+            f = st.fill
+            ranges = [range(int(compile_term(lo, env)({})), int(compile_term(hi, env)({})) + 1)
+                      for lo, hi in f.bounds]
+            rows = [dict(zip(f.keys, ks)) for ks in itertools.product(*ranges)]
+            head = TupleT((*map(Var, f.keys), f.value))
+            env = {**env, st.name: {**env[st.name], **_rows_to_dict(rows, head, env, t.ndims)}}
+            if st.plan is None:  # the fill alone
+                return env[st.name]
+        rows = _rows(st.plan, env, st.look)
+        new = {} if rows is None else _rows_to_dict(rows, st.plan.head, env, t.ndims)
+        return {**env[st.name], **new}
 
-    @staticmethod
-    def _merge(name: str, comp: Comp, t, env: dict) -> dict:
-        res = eval_comp(comp, env)
-        return env[name] if res is None else {**env[name], **_rows_to_dict(*res, env, t.ndims)}
-
-    def scalar(self, comp: Comp, env: dict, broadcast: bool = False) -> list:
-        res = eval_comp(comp, env)
-        return [] if res is None else list(map(compile_term(res[1], env), res[0]))
+    def scalar(self, p: Plan, env: dict, what: str) -> list:
+        rows = _rows(p, env)
+        return [] if rows is None else list(map(compile_term(p.head, env), rows))
 
     def group(self, gp, stmts, env: dict, types: dict) -> dict:
         """The shared steps once, then each member's own steps over
@@ -163,10 +166,10 @@ class _Seq:
         env = {**env, **{s.name: {} for s in stmts if s.fresh}}
         rows = _run_steps(_source(gp.shared[0], env, {}), gp.shared[1:], env, {})
         new = {}
-        for s, m in zip(stmts, gp.members):
+        for s, m, look in zip(stmts, gp.members, gp.looks):
             # a member's steps start with a filter or a reduction, which
             # build new rows: the shared ones are not changed
-            own = _run_steps(rows, m.steps, env, {})
+            own = _run_steps(rows, m.steps + ((look,) if look else ()), env, {})
             if isinstance(s.term, Comp):
                 if own:  # a Total's one row, or none
                     new[s.name] = compile_term(m.head, env)(own[0])

@@ -78,47 +78,49 @@ class TAssign:
     ``fresh`` if ``V``'s ``TInit`` comes before it in its block with no
     other assignment to ``V`` in between, so ``V`` is empty here.
 
-    ``plan.fuse_code`` sets the other fields. ``fill`` changes what the
-    assignment runs; the rest mark lowerings that only the Spark engine
-    reads:
+    ``plan.plan_code`` sets ``plan``, the ``plan.Plan`` of its
+    comprehension, which the engines run, and for an update (rule 15a)
+    ``look``, its lookup ``w <~ V[k] ?? d``, split off the plan
+    (``plan.own_lookup``). ``plan.fuse_code`` marks the plan's joins
+    (``plan.Join``) and sets the other fields:
 
-    * ``fill`` is a range fill ``{(i…, c) | i <- range…}`` of the array
-      ``V`` that this assignment ``V := V ⊲ e`` runs first, as
-      ``V := (V ⊲ fill) ⊲ e``, lowered with it and without a join; a
-      fill that no update follows is its own ``e``;
+    * ``fill`` is a range fill ``{(i…, c) | i <- range…}`` (a
+      ``plan.Fill``) of ``V`` that this assignment ``V := V ⊲ e`` runs
+      first, as ``V := (V ⊲ fill) ⊲ e``, lowered with it and without a
+      join; ``plan`` is None for a fill alone;
     * ``inside``: every key ``V`` can hold lies inside ``fill``'s ranges,
-      so the fill's rows replace ``V``'s;
-    * ``broadcast`` lets a join without key equalities broadcast a
-      source whose keys ``inRange`` bounds;
-    * ``reads``: assignments whose groups this one reads instead of
-      their destinations: a fill and its update (``plan.fill_keys``), or
-      the group-by just before this one (``plan.carried_join``)."""
+      so the fill's rows replace ``V``'s."""
 
     name: str
     term: object
     fresh: bool = False
+    plan: Optional[object] = None
+    look: Optional[object] = None
     fill: Optional[object] = None
     inside: bool = False
-    broadcast: bool = False
-    reads: tuple = ()
 
 
 @dataclass
 class TWhile:
-    """Sequential while-loop over a block of target statements."""
+    """Sequential while-loop over a block of target statements; ``plan``
+    is the test's ``plan.Plan`` if the test is a comprehension
+    (``plan.plan_code``)."""
 
     cond: object
     body: list = field(default_factory=list)
+    plan: Optional[object] = None
 
 
 @dataclass
 class TGroup:
     """Consecutive assignments (``TAssign``) over one source, none of
     which reads another's destination, run together by one scan of that
-    source (``plan.fuse_code``); each reads the state from before the
-    group, as it would in its place in the sequence."""
+    source (``plan.fuse_code``) as ``plan``, their ``plan.GroupPlan``;
+    each reads the state from before the group, as it would in its place
+    in the sequence."""
 
     stmts: list
+    plan: Optional[object] = None
 
 
 class TranslationError(Exception):

@@ -262,11 +262,12 @@ def test_scalar_assignment_from_many_rows_fails(spark):
     # rather than keep an arbitrary row
     from repro.core.backend import BackendError, run_code
     from repro.core.comprehension import Comp, Generator, PTuple, PVar, StateRef, Var
+    from repro.core.plan import plan_code
     from repro.core.translate import TAssign
 
-    code = [TAssign("s", Comp(Var("v"), (
+    code = plan_code([TAssign("s", Comp(Var("v"), (
         Generator(PTuple((PVar("i"), PVar("v"))), StateRef("V")),
-    )))]
+    )))])
     env = {"V": dict_to_df(spark, {0: 1, 1: 2}, VEC_L), "s": 0}
     with pytest.raises(BackendError, match="more than one"):
         run_code(code, env, spark, {"V": VEC_L, "s": A.TBasic("long")})

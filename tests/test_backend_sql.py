@@ -24,6 +24,7 @@ from repro.core.comprehension import (
 from repro.core.convert import df_to_dict, dict_to_df
 from repro.core.interp import interpret
 from repro.core.pipeline import compile_program, run_program
+from repro.core.plan import plan_code
 from repro.core.seq_backend import run_program_seq
 from repro.core.translate import TAssign, TInit, TWhile, statements
 from repro.programs.suite import BY_NAME, PROGRAMS, build_envs
@@ -284,7 +285,7 @@ def test_rejected_query_names_statement_and_sql(spark):
     )))
     env = {"V": dict_to_df(spark, {0: (1, 2.0)}, VEC_LD), "R": dict_to_df(spark, {}, VEC_LD)}
     with pytest.raises(BackendError) as err:
-        run_code([TAssign("R", term)], env, spark, {"V": VEC_LD, "R": VEC_LD})
+        run_code(plan_code([TAssign("R", term)]), env, spark, {"V": VEC_LD, "R": VEC_LD})
     msg = str(err.value)
     assert show(term) in msg
     assert "SELECT" in msg and "`_3`" in msg

@@ -10,6 +10,7 @@ from repro.core.backend import BROADCAST_ROWS
 from repro.core.convert import dict_to_df
 from repro.core.interp import InterpError, interpret
 from repro.core.pipeline import compile_program, run_program
+from repro.core.plan import Join
 from repro.core.translate import TAssign, TranslationError, statements
 from repro.programs.handwritten import HANDWRITTEN
 from repro.programs.suite import BY_NAME, build_envs
@@ -25,10 +26,17 @@ MAT_B, MAT_D = A.TArray(2, B), A.TArray(2, D)
 E = {(0, 1): True, (1, 0): True, (1, 1): True, (3, 2): True, (0, 2): False}
 
 
+def broadcasts(st) -> bool:
+    """Whether a join of the assignment ``st`` may broadcast its source
+    (``Join.small``)."""
+    return isinstance(st, TAssign) and st.plan is not None and any(
+        isinstance(j, Join) and j.small is not None for j in st.plan.steps)
+
+
 def _marks(src, types):
     """The fill and broadcast marks of a program's assignments."""
     code = compile_program(src, types).code
-    return [(st.name, st.fill is not None and st.fill != st.term.new, st.broadcast)
+    return [(st.name, st.fill is not None and st.plan is not None, broadcasts(st))
             for st in statements(code) if isinstance(st, TAssign)]
 
 

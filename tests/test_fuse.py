@@ -13,6 +13,7 @@ from repro.core.pipeline import compile_program
 from repro.core.translate import TGroup, TWhile, statements
 from repro.programs.suite import BY_NAME, PROGRAMS, build_envs
 from tests.test_backend_sql import _same, three_engines
+from tests.test_fill import broadcasts
 
 L, S = A.TBasic("long"), A.TBasic("string")
 VEC_L = A.TArray(1, L)
@@ -79,10 +80,10 @@ def test_fuse_lowers_range_fills_and_small_joins(monkeypatch, name, fills, broad
     # alone, 2 for a fill and the update after it
     fused, plain = (list(statements(c)) for c in _both(monkeypatch, name))
     marked = [st for st in fused if getattr(st, "fill", None) is not None]
-    assert [(st.name, 1 if st.fill == st.term.new else 2, st.fresh) for st in marked] == fills
-    assert [st.name for st in fused if getattr(st, "broadcast", False)] == broadcast
+    assert [(st.name, 1 if st.plan is None else 2, st.fresh) for st in marked] == fills
+    assert [st.name for st in fused if broadcasts(st)] == broadcast
     assert len(plain) - len(fused) == sum(n - 1 for _, n, _ in fills)
-    assert not any(getattr(st, "fill", None) or getattr(st, "broadcast", False) for st in plain)
+    assert not any(getattr(st, "fill", None) or broadcasts(st) for st in plain)
 
 
 SCALARS = "var s: long = 0; var c: long = 0;"

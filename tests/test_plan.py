@@ -1,5 +1,7 @@
 """The one lowering of comprehensions to relational steps that both bulk
 engines execute."""
+import pytest
+
 from repro.core import ast as A
 from repro.core.backend import run_code
 from repro.core.comprehension import (
@@ -19,9 +21,11 @@ from repro.core.comprehension import (
     Var,
 )
 from repro.core.convert import df_to_dict, dict_to_df
-from repro.core.plan import Filter, GroupBy, Join, Let, Lookup, Plan, Scan, own_lookup, plan
-from repro.core.seq_backend import run_code_seq
-from repro.core.translate import TAssign, TInit
+from repro.core.plan import (
+    Filter, GroupBy, Join, Let, Lookup, Plan, PlanError, Scan, own_lookup, plan, plan_code,
+)
+from repro.core.seq_backend import SeqError, run_code_seq
+from repro.core.translate import TAssign, TInit, TWhile
 
 VEC_D = A.TArray(1, A.TBasic("double"))
 
@@ -89,7 +93,22 @@ def test_condition_on_a_reduction_filters_groups_on_both_engines(spark):
     ))
     V = {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0}
     types = {"V": VEC_D, "C": VEC_D}
-    code = [TInit("C", VEC_D), TAssign("C", Merge(StateRef("C"), term), fresh=True)]
+    code = plan_code([TInit("C", VEC_D), TAssign("C", Merge(StateRef("C"), term), fresh=True)])
     seq = run_code_seq(code, {"V": V}, types)
     sp = run_code(code, {"V": dict_to_df(spark, V, VEC_D)}, spark, types)
     assert seq["C"] == df_to_dict(sp["C"], 1) == {1: 6.0}
+
+
+def test_plan_code_plans_each_comprehension_once_and_fails_at_compile_time():
+    update = Comp(TupleT((Var("i"), Var("v"))), (_gen("i", "v", "V"),))
+    test = Comp(BinOp(">", Var("v"), Const(0.0)), (_gen("i", "v", "V"),))
+    (loop,) = plan_code([TWhile(test, [TAssign("C", Merge(StateRef("C"), update))])])
+    assert loop.plan == plan(test) and loop.body[0].plan == plan(update)
+    # y is bound by no generator: planning fails here, not when the code runs
+    bad = Comp(Var("v"), (_gen("i", "v", "V"), Cond(BinOp(">", Var("y"), Const(0)))))
+    with pytest.raises(PlanError, match="unbound"):
+        plan_code([TAssign("s", bad)])
+    # code that skipped plan_code is refused, not planned by the engine
+    with pytest.raises(SeqError, match="not planned"):
+        run_code_seq([TAssign("C", Merge(StateRef("C"), update))], {"V": {0: 1.0}, "C": {}},
+                      {"V": VEC_D, "C": VEC_D})

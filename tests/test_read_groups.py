@@ -1,5 +1,5 @@
 """Reads of another assignment's groups on Spark (``plan.fuse_code``,
-``TAssign.reads`` and ``TAssign.inside``): a join of a filled array
+``Join.reads`` and ``TAssign.inside``): a join of a filled array
 inside its fill reads the update's groups, a fill of an array that holds
 no key outside it drops the rest of the array, and a join of a group-by
 to its own source reads the groups that carry the source's element.
@@ -13,6 +13,7 @@ from repro.core import ast as A
 from repro.core.convert import df_to_dict, dict_to_df
 from repro.core.interp import interpret
 from repro.core.pipeline import compile_program, run_program
+from repro.core.plan import Join
 from repro.core.seq_backend import run_program_seq
 from repro.core.translate import TAssign, TInit, statements
 from tests.test_backend_sql import _same, sql_calls  # noqa: F401  (a fixture)
@@ -46,8 +47,15 @@ def marks(src, types, fuse=True):
     """``(name, inside, names of the assignments it reads)`` of each
     assignment that has a mark."""
     code = compile_program(src, types, fuse=fuse).code
-    return [(st.name, st.inside, [w.name for w in st.reads]) for st in statements(code)
-            if isinstance(st, TAssign) and (st.inside or st.reads)]
+    out = []
+    for st in statements(code):
+        if isinstance(st, TAssign):
+            steps = st.plan.steps if st.plan is not None else ()
+            reads = list(dict.fromkeys(j.reads.name for j in steps
+                                       if isinstance(j, Join) and j.reads is not None))
+            if st.inside or reads:
+                out.append((st.name, st.inside, reads))
+    return out
 
 
 # the degrees C as PageRank fills and updates them, over 0..n, and X,

@@ -132,11 +132,12 @@ def test_while_condition_reads_array():
 
 def test_scalar_assignment_from_many_rows_fails():
     from repro.core.comprehension import Comp, Generator, PTuple, PVar, StateRef, Var
+    from repro.core.plan import plan_code
     from repro.core.seq_backend import SeqError, run_code_seq
     from repro.core.translate import TAssign
 
-    code = [TAssign("s", Comp(Var("v"), (
+    code = plan_code([TAssign("s", Comp(Var("v"), (
         Generator(PTuple((PVar("i"), PVar("v"))), StateRef("V")),
-    )))]
+    )))])
     with pytest.raises(SeqError, match="more than one"):
         run_code_seq(code, {"V": {0: 1, 1: 2}, "s": 0}, {"V": VEC_L, "s": A.TBasic("long")})
